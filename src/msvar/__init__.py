@@ -6,6 +6,27 @@ multiphase level-set solver, supervised loss arithmetic, and an evaluation
 metric suite.
 """
 
+import os
+
+
+def _thread_cap():
+    """MSVAR_THREADS as a positive int, or None when unset; ValueError otherwise."""
+    raw = os.environ.get("MSVAR_THREADS")
+    if raw is not None and not (raw.strip().isdecimal() and int(raw) > 0):
+        raise ValueError(f"MSVAR_THREADS must be a positive integer, got {raw!r}")
+    return None if raw is None else int(raw)
+
+
+# BLAS and OpenMP size their thread pools when numpy is first imported, so the
+# cap is exported before any submodule imports numpy; cli.main reports a bad one.
+try:
+    _cap = _thread_cap()
+except ValueError:
+    _cap = None
+if _cap is not None:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[_var] = str(_cap)
+
 from .bias import bias_centroids, bias_ms_loss, minimize_ms_bias
 from .errors import ConvergenceError
 from .grid import grad_forward, tv_smooth, tv_smooth_grad

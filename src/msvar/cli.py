@@ -11,13 +11,12 @@ Exit codes: 0 success, 1 usage error, 2 I/O or validation error,
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import pnm
+from . import _thread_cap, pnm
 from .bias import minimize_ms_bias
 from .errors import ConvergenceError
 from .levelset import segment_levelset
@@ -41,7 +40,6 @@ SEGMENT_DEFAULTS = {
     "phases": 1,
     "lambda": 1e-3,
     "gamma": 0.1,
-    "beta": 0.0,
     "eta": 0.5,
     "dt": 0.5,
     "eps_h": 1.0,
@@ -57,20 +55,6 @@ class _Parser(argparse.ArgumentParser):
     # the exit-code contract reserves 1 for usage errors (argparse uses 2)
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _apply_thread_cap():
-    raw = os.environ.get("MSVAR_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"MSVAR_THREADS must be a positive integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _write_json(path, obj):
@@ -119,7 +103,6 @@ def _resolve_segment_params(args):
         "phases": args.phases,
         "lambda": args.lambda_tv,
         "gamma": args.gamma,
-        "beta": args.beta,
         "eta": args.eta,
         "dt": args.dt,
         "eps_h": args.eps_h,
@@ -255,7 +238,6 @@ def build_parser():
     p_seg.add_argument("--phases", type=int)
     p_seg.add_argument("--lambda", dest="lambda_tv", type=float)
     p_seg.add_argument("--gamma", type=float)
-    p_seg.add_argument("--beta", type=float)
     p_seg.add_argument("--eta", type=float)
     p_seg.add_argument("--dt", type=float)
     p_seg.add_argument("--eps-h", dest="eps_h", type=float)
@@ -278,7 +260,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_cap()
+        _thread_cap()
         if args.command == "synth":
             return cmd_synth(args)
         if args.command == "segment":

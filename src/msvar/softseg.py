@@ -200,48 +200,57 @@ def hard_mask(seg):
     return np.argmax(seg.memberships, axis=0)
 
 
-def _kmeans_once(pts, num_classes, rng, iters):
-    # k-means++ style seeding followed by Lloyd iterations
-    centers = np.empty((num_classes, pts.shape[1]))
-    centers[0] = pts[rng.integers(len(pts))]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+def _kmeans_once(vals, weights, inverse, num_classes, rng, iters):
+    # k-means++ style seeding over pixels (the same draws as a per-pixel k-means),
+    # then count-weighted Lloyd iterations over the distinct values
+    centers = np.empty((num_classes, vals.shape[1]))
+    centers[0] = vals[inverse[rng.integers(len(inverse))]]
+    d2 = np.sum((vals - centers[0]) ** 2, axis=1)
     for k in range(1, num_classes):
-        total = d2.sum()
+        d2_pix = d2[inverse]
+        total = d2_pix.sum()
         if total > 0:
-            idx = rng.choice(len(pts), p=d2 / total)
+            idx = rng.choice(len(inverse), p=d2_pix / total)
         else:
-            idx = rng.integers(len(pts))
-        centers[k] = pts[idx]
-        d2 = np.minimum(d2, np.sum((pts - centers[k]) ** 2, axis=1))
+            idx = rng.integers(len(inverse))
+        centers[k] = vals[inverse[idx]]
+        d2 = np.minimum(d2, np.sum((vals - centers[k]) ** 2, axis=1))
     for _ in range(iters):
-        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dists = ((vals[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(dists, axis=1)
         for k in range(num_classes):
             sel = labels == k
             if sel.any():
-                centers[k] = pts[sel].mean(axis=0)
-    dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+                centers[k] = np.average(vals[sel], axis=0, weights=weights[sel])
+    dists = ((vals[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(dists, axis=1)
-    sse = float(dists[np.arange(len(pts)), labels].sum())
+    # pixel-level SSE, summed in pixel order, so restart ties resolve as per pixel
+    sse = float(dists.min(axis=1)[inverse].sum())
     return labels, centers, sse
 
 
 def kmeans_labels(x, num_classes, seed, iters=20, restarts=8):
     """Lloyd's algorithm on pixel values, best of several seeded restarts.
 
-    Returns (labels, centers) of the restart with the lowest within-cluster
-    SSE; deterministic for a fixed seed. Empty clusters keep their previous
-    center.
+    Clusters the distinct values weighted by their pixel counts, which gives
+    the labels of the same algorithm run on every pixel (centers agree up to
+    rounding). Returns (labels, centers) of the restart with the lowest
+    within-cluster SSE; deterministic for a fixed seed. Empty clusters keep
+    their previous center.
     """
     x = as_image(x)
     pts = x.reshape(-1, x.shape[2])
+    # one channel is uniqued as a 1-D float array: on (P, 1) rows unique sorts a void dtype
+    flat = pts[:, 0] if pts.shape[1] == 1 else pts
+    vals, inverse, counts = np.unique(flat, axis=0, return_inverse=True, return_counts=True)
+    vals, inverse = vals.reshape(len(counts), -1), inverse.reshape(-1)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
-        labels, centers, sse = _kmeans_once(pts, num_classes, rng, iters)
+        labels, centers, sse = _kmeans_once(vals, counts, inverse, num_classes, rng, iters)
         if best is None or sse < best[2]:
             best = (labels, centers, sse)
-    return best[0].reshape(x.shape[:2]), best[1]
+    return best[0][inverse].reshape(x.shape[:2]), best[1]
 
 
 # Logit magnitude given to the assigned class by the k-means initializer.

@@ -350,3 +350,44 @@ def best_permutation_ious(pred, gt, num_classes):
         if best is None or np.mean(ious) > np.mean(best):
             best = ious
     return best
+
+
+def kmeans_loop(x, num_classes, seed, iters=20, restarts=8):
+    """Per-pixel k-means: k-means++ seeding and Lloyd sweeps over every pixel,
+    best of several seeded restarts by within-cluster SSE (first one wins a tie)."""
+
+    def once(pts, rng):
+        centers = np.empty((num_classes, pts.shape[1]))
+        centers[0] = pts[rng.integers(len(pts))]
+        d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+        for k in range(1, num_classes):
+            total = d2.sum()
+            if total > 0:
+                idx = rng.choice(len(pts), p=d2 / total)
+            else:
+                idx = rng.integers(len(pts))
+            centers[k] = pts[idx]
+            d2 = np.minimum(d2, np.sum((pts - centers[k]) ** 2, axis=1))
+        for _ in range(iters):
+            dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            labels = np.argmin(dists, axis=1)
+            for k in range(num_classes):
+                sel = labels == k
+                if sel.any():
+                    centers[k] = pts[sel].mean(axis=0)
+        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(dists, axis=1)
+        sse = float(dists[np.arange(len(pts)), labels].sum())
+        return labels, centers, sse
+
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2:
+        x = x[:, :, None]
+    pts = x.reshape(-1, x.shape[2])
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        labels, centers, sse = once(pts, rng)
+        if best is None or sse < best[2]:
+            best = (labels, centers, sse)
+    return best[0].reshape(x.shape[:2]), best[1]

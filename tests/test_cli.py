@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msvar
 from msvar import pnm
 from msvar.cli import main
 
@@ -52,6 +57,9 @@ def test_usage_error_exits_1(capsys):
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         run(["segment", "--solver", "bogus", "a.pgm", "out"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["segment", "--beta", 0.1, "a.pgm", "out"])
     assert exc.value.code == 1
 
 
@@ -120,6 +128,21 @@ def test_segment_run_json_round_trip(tmp_path):
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
+def test_segment_config_with_retired_beta_key_loads(tmp_path):
+    data = synth(tmp_path)
+    out1 = tmp_path / "r1"
+    assert run(["segment", "--solver", "ms", "--classes", 2, "--seed", 9,
+                "--max-iters", 20, data / "image.pgm", out1]) == 0
+    stored = json.loads((out1 / "run.json").read_text())
+    assert "beta" not in stored
+    stored["beta"] = 0.0  # written by versions that still had the --beta flag
+    (tmp_path / "old.json").write_text(json.dumps(stored))
+    out2 = tmp_path / "r2"
+    assert run(["segment", "--config", tmp_path / "old.json", out2]) == 0
+    assert (out1 / "mask.pgm").read_bytes() == (out2 / "mask.pgm").read_bytes()
+    assert "beta" not in json.loads((out2 / "run.json").read_text())
+
+
 def test_segment_missing_input_exits_2(tmp_path):
     assert run(["segment", tmp_path / "nope.pgm", tmp_path / "out"]) == 2
 
@@ -186,3 +209,19 @@ def test_thread_cap_validation(tmp_path, monkeypatch):
     assert run(["synth", "two-phase", 48, 0.0, 0, tmp_path / "y"]) == 2
     monkeypatch.setenv("MSVAR_THREADS", "2")
     assert run(["synth", "two-phase", 48, 0.0, 0, tmp_path / "z"]) == 0
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_thread_cap_reaches_blas():
+    # BLAS sizes its thread pool when numpy is first imported: needs a fresh interpreter
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(msvar.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["MSVAR_THREADS"] = "1"
+    code = ("import os, msvar.cli, numpy as np\n"
+            "a = np.ones((400, 400)); a @ a\n"
+            "print(len(os.listdir('/proc/self/task')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert int(out) == 1

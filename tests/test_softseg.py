@@ -21,6 +21,7 @@ from oracles import (
     centroids_loop,
     fd_gradient,
     fixed_point_velocity_loop,
+    kmeans_loop,
     ms_loss_loop,
     softmax_loop,
     tv_smooth_loop,
@@ -347,3 +348,37 @@ def test_kmeans_separates_phantom_levels():
     ious = best_permutation_ious(labels, gt, 4)
     assert min(ious) >= 0.99
     assert sorted(np.round(centers[:, 0], 1).tolist()) == [0.2, 0.4, 0.6, 0.8]
+
+
+def _assert_matches_kmeans_oracle(x, num_classes, seed):
+    labels, centers = kmeans_labels(x, num_classes, seed)
+    ref_labels, ref_centers = kmeans_loop(x, num_classes, seed)
+    assert np.array_equal(labels, ref_labels)
+    assert np.abs(centers - ref_centers).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind,num_classes", [("two-phase", 2), ("four-phase", 4)])
+@pytest.mark.parametrize("noise_seed", [1, 2, 101])
+def test_kmeans_matches_per_pixel_oracle_on_phantoms(kind, num_classes, noise_seed):
+    for sigma in (0.05, 0.2):
+        image, _, _ = make_phantom(kind, 64, sigma, noise_seed)
+        image = np.round(np.clip(image, 0.0, 1.0) * 255) / 255  # as read from a PGM
+        for seed in (0, 3):
+            _assert_matches_kmeans_oracle(image, num_classes, seed)
+
+
+def _uniform(shape):
+    return np.random.default_rng(7).random(shape)
+
+
+@pytest.mark.parametrize("x,num_classes", [
+    pytest.param(np.round(_uniform((24, 20, 3)) * 3) / 3, 3, id="rgb-quantised"),
+    pytest.param(_uniform((20, 30)), 4, id="all-distinct"),
+    pytest.param(np.full((8, 8), 0.3), 3, id="constant"),
+    pytest.param((_uniform((10, 12)) > 0.5) * 1.0, 4, id="two-values-four-classes"),
+    pytest.param(np.array([[0.5]]), 2, id="1x1"),
+    pytest.param(_uniform((1, 9)), 3, id="1xN"),
+])
+def test_kmeans_matches_per_pixel_oracle_on_edge_cases(x, num_classes):
+    for seed in (0, 1, 2):
+        _assert_matches_kmeans_oracle(x, num_classes, seed)
