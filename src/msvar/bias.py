@@ -7,53 +7,27 @@ its own total-variation penalty:
     sum_n sum_r ||x(r) - b(r) c_n||^2 y_n(r)
         + lambda * sum_n TV(y_n) + gamma * TV(b)
 
-Minimized by block-coordinate descent over (centroids, logits, b). The
-product b*c_n is only determined up to a scale, so the result is gauge-fixed
-to mean(b) = 1 after convergence.
+Minimized by block-coordinate descent over (centroids, logits, b), the
+softseg driver with its bias block switched on. The product b*c_n is only
+determined up to a scale, so the result is gauge-fixed to mean(b) = 1 after
+convergence.
 """
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import EPS_DEN, as_image, tv_smooth, tv_smooth_grad
-from .softseg import (
-    SoftSegmentation,
-    _chain_softmax,
-    _descend,
-    init_logits,
-)
+from .grid import as_image
+from .softseg import B_MAX, B_MIN  # noqa: F401  (the clamp range of b, re-exported)
+from .softseg import block_descent, energy, grad_b, init_logits, weighted_means
 
-# b is clamped into this range after every update to rule out the degenerate
-# zero-bias collapse.
-B_MIN, B_MAX = 0.05, 20.0
+# Not called here; bound only so that perfbench/tracing.py's per-module targets resolve.
+from .grid import tv_smooth, tv_smooth_grad  # noqa: F401
+from .softseg import _descend  # noqa: F401
 
 
 def bias_centroids(x, memberships, b):
     """Bias-weighted class means: c_n = sum(b x y_n) / (sum(b^2 y_n) + guard)."""
-    x = as_image(x)
-    y = np.asarray(memberships, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if y.ndim != 3 or y.shape[1:] != x.shape[:2] or b.shape != x.shape[:2]:
-        raise ValueError(
-            f"shape mismatch: image {x.shape}, memberships {y.shape}, bias {b.shape}"
-        )
-    num = np.tensordot(y * b[None, :, :], x, axes=([1, 2], [0, 1]))  # (N, C)
-    den = np.sum(y * (b * b)[None, :, :], axis=(1, 2)) + EPS_DEN
-    return num / den[:, None]
-
-
-def _bias_sq_resid(x, b, centroids):
-    """||x(r) - b(r) c_n||^2 summed over channels, shape (N, H, W)."""
-    fitted = b[None, :, :, None] * centroids[:, None, None, :]
-    diff = x[None, :, :, :] - fitted
-    return np.einsum("nijc,nijc->nij", diff, diff)
-
-
-def _bias_loss_terms(x, y, b, centroids, cfg, gamma):
-    data = float(np.sum(_bias_sq_resid(x, b, centroids) * y))
-    tv_y = cfg.lambda_tv * sum(tv_smooth(y[n], cfg.tv_eps) for n in range(y.shape[0]))
-    tv_b = gamma * tv_smooth(b, cfg.tv_eps)
-    return data + tv_y + tv_b, data, tv_y, tv_b
+    return weighted_means(as_image(x), memberships, np.asarray(b, dtype=np.float64))
 
 
 def bias_ms_loss(x, seg, b, cfg, gamma):
@@ -65,12 +39,7 @@ def bias_ms_loss(x, seg, b, cfg, gamma):
     x = as_image(x)
     y = seg.memberships
     b = np.asarray(b, dtype=np.float64)
-    if y.shape[1:] != x.shape[:2] or b.shape != x.shape[:2]:
-        raise ValueError(
-            f"shape mismatch: image {x.shape}, memberships {y.shape}, bias {b.shape}"
-        )
-    c = bias_centroids(x, y, b)
-    return _bias_loss_terms(x, y, b, c, cfg, gamma)
+    return energy(x, y, weighted_means(x, y, b), cfg.lambda_tv, cfg.tv_eps, b, gamma)
 
 
 def bias_loss_grad_b(x, memberships, b, centroids, cfg, gamma):
@@ -79,23 +48,9 @@ def bias_loss_grad_b(x, memberships, b, centroids, cfg, gamma):
     d data / d b(r) = -2 sum_n y_n(r) sum_ch c_n,ch (x_ch(r) - b(r) c_n,ch),
     plus the TV-of-b adjoint weighted by gamma.
     """
-    x = as_image(x)
     y = np.asarray(memberships, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(centroids, dtype=np.float64)
-    fitted = b[None, :, :, None] * c[:, None, None, :]
-    resid = x[None, :, :, :] - fitted  # (N, H, W, C)
-    data_grad = -2.0 * np.sum(y * np.einsum("nc,nijc->nij", c, resid), axis=0)
-    return data_grad + gamma * tv_smooth_grad(b, cfg.tv_eps)
-
-
-def _grad_z(x, y, b, centroids, cfg):
-    grad_y = _bias_sq_resid(x, b, centroids)
-    if cfg.lambda_tv != 0.0:
-        grad_y = grad_y + cfg.lambda_tv * np.stack(
-            [tv_smooth_grad(y[n], cfg.tv_eps) for n in range(y.shape[0])]
-        )
-    return _chain_softmax(y, grad_y)
+    return grad_b(as_image(x), y, b, np.asarray(centroids, dtype=np.float64), cfg.tv_eps, gamma)
 
 
 def minimize_ms_bias(x, cfg, gamma, init="random"):
@@ -114,48 +69,12 @@ def minimize_ms_bias(x, cfg, gamma, init="random"):
     cfg.validate()
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    z = init_logits(x, cfg, init)
-    b = np.ones(x.shape[:2])
-
-    def evaluate(z_new, b_new):
-        seg = SoftSegmentation.from_logits(z_new)
-        c = bias_centroids(x, seg.memberships, b_new)
-        terms = _bias_loss_terms(x, seg.memberships, b_new, c, cfg, gamma)
-        return (seg, c, z_new, b_new), terms
-
-    (seg, c, z, b), terms = evaluate(z, b)
-    trace = [terms]
-    for _ in range(cfg.max_iters):
-        prev = terms[0]
-
-        gz = _grad_z(x, seg.memberships, b, c, cfg)
-        cand, cand_terms, z_stalled = _descend(
-            lambda eta: evaluate(z - eta * gz, b), cfg.step_size, cfg.line_search, terms[0]
+    seg, c, b, trace, stop = block_descent(
+        x, cfg, init_logits(x, cfg, init), np.ones(x.shape[:2]), gamma
+    )
+    if stop == "stalled":
+        raise ConvergenceError(
+            "backtracking exhausted in every block", trace=trace, result=(seg, b, c)
         )
-        if not z_stalled:
-            (seg, c, z, b), terms = cand, cand_terms
-
-        gb = bias_loss_grad_b(x, seg.memberships, b, c, cfg, gamma)
-        cand, cand_terms, b_stalled = _descend(
-            lambda eta: evaluate(z, np.clip(b - eta * gb, B_MIN, B_MAX)),
-            cfg.step_size,
-            cfg.line_search,
-            terms[0],
-        )
-        if not b_stalled:
-            (seg, c, z, b), terms = cand, cand_terms
-
-        if z_stalled and b_stalled:
-            raise ConvergenceError(
-                "backtracking exhausted in every block",
-                trace=np.array(trace),
-                result=(seg, b, c),
-            )
-        trace.append(terms)
-        if abs(prev - terms[0]) < cfg.rel_tol * max(abs(prev), 1e-30):
-            break
-
     scale = float(b.mean())
-    b = b / scale
-    c = c * scale
-    return seg, b, c, np.array(trace)
+    return seg, b / scale, c * scale, trace

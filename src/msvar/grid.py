@@ -65,10 +65,11 @@ def div_backward(qx, qy):
 
 
 def _tv_pointwise(f, eps):
+    """Forward differences (gx, gy) of f and w = sqrt(gx^2 + gy^2 + eps^2)."""
     if eps <= 0:
         raise ValueError(f"tv smoothing eps must be positive, got {eps}")
     gx, gy = grad_forward(f)
-    return np.sqrt(gx * gx + gy * gy + eps * eps)
+    return gx, gy, np.sqrt(gx * gx + gy * gy + eps * eps)
 
 
 def tv_smooth(f, eps=1e-8):
@@ -77,7 +78,7 @@ def tv_smooth(f, eps=1e-8):
     Returns sum_r sqrt(gx^2 + gy^2 + eps^2) - H*W*eps; the subtraction makes
     the value of a constant field exactly 0.
     """
-    w = _tv_pointwise(f, eps)
+    w = _tv_pointwise(f, eps)[2]
     return float(np.sum(w) - w.size * eps)
 
 
@@ -87,16 +88,5 @@ def tv_smooth_grad(f, eps=1e-8):
     Divergence-form adjoint of the forward-difference stencil:
     grad = -div(gx/w, gy/w) with w = sqrt(gx^2 + gy^2 + eps^2).
     """
-    f = as_field(f)
-    w = _tv_pointwise(f, eps)
-    gx, gy = grad_forward(f)
+    gx, gy, w = _tv_pointwise(f, eps)
     return -div_backward(gx / w, gy / w)
-
-
-def curvature_divergence(f, eps=1e-8):
-    """div(grad f / |grad f|) on the forward-difference stencil.
-
-    This is the negative of tv_smooth_grad; the guard eps keeps the
-    normalisation defined where the gradient vanishes.
-    """
-    return -tv_smooth_grad(f, eps)

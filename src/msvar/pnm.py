@@ -34,6 +34,8 @@ def _read_header(data):
     width, height, maxval = (int(t) for t in tokens[1:4])
     if magic not in ("P5", "P6"):
         raise ValueError(f"unsupported PNM magic {magic!r}")
+    if width <= 0 or height <= 0:
+        raise ValueError(f"PNM size must be positive, got {width}x{height}")
     if not (0 < maxval <= 255):
         raise ValueError(f"only 8-bit PNM supported, got maxval {maxval}")
     return magic, width, height, maxval, pos
@@ -48,6 +50,8 @@ def _read_raster(path):
     raster = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset)
     if raster.size != count:
         raise ValueError(f"PNM raster truncated in {path}")
+    if raster.max() > maxval:
+        raise ValueError(f"PNM sample {raster.max()} above maxval {maxval} in {path}")
     return raster.reshape(height, width, channels), maxval
 
 

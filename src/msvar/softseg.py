@@ -8,6 +8,9 @@ satisfied by construction. The objective is
 
 with c_n the membership-weighted class means, minimized by alternating
 centroid refreshes with gradient steps on the logits.
+
+The bias and level-set solvers minimise the same energy (fit b(r) c_n,
+Heaviside memberships); it and the one iteration driver, iterate, live here.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import EPS_DEN, as_image, curvature_divergence, tv_smooth, tv_smooth_grad
+from .grid import EPS_DEN, as_image, tv_smooth, tv_smooth_grad
+
+# b is clamped into this range after every update to rule out the degenerate
+# zero-bias collapse.
+B_MIN, B_MAX = 0.05, 20.0
 
 
 @dataclass
@@ -29,7 +36,6 @@ class MsConfig:
     rel_tol: float = 1e-6
     tv_eps: float = 1e-8
     seed: int = 0
-    line_search: bool = True
 
     def validate(self):
         if self.num_classes < 2:
@@ -82,31 +88,51 @@ class SoftSegmentation:
         return self.logits.shape[0]
 
 
+def weighted_means(x, y, b=None):
+    """Class means of the fit x ~ b c_n under memberships y, per channel:
+    c[n, ch] = sum_r b x_ch y_n / (sum_r b^2 y_n + EPS_DEN); b = None is b = 1."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 3 or y.shape[1:] != x.shape[:2] or (b is not None and b.shape != x.shape[:2]):
+        bias = "" if b is None else f", bias {b.shape}"
+        raise ValueError(f"shape mismatch: image {x.shape}, memberships {y.shape}{bias}")
+    if b is None:
+        num, den = np.tensordot(y, x, axes=([1, 2], [0, 1])), y.sum(axis=(1, 2))
+    else:
+        num = np.tensordot(y * b[None, :, :], x, axes=([1, 2], [0, 1]))
+        den = np.sum(y * (b * b)[None, :, :], axis=(1, 2))
+    return num / (den + EPS_DEN)[:, None]  # (N, C)
+
+
 def soft_centroids(x, memberships):
     """Membership-weighted mean value of each class, per channel.
 
     c[n, ch] = sum_r x(r, ch) y_n(r) / (sum_r y_n(r) + EPS_DEN); the guard
     keeps (near-)empty classes finite.
     """
-    x = as_image(x)
-    y = np.asarray(memberships, dtype=np.float64)
-    if y.ndim != 3 or y.shape[1:] != x.shape[:2]:
-        raise ValueError(f"memberships {y.shape} do not match image {x.shape}")
-    num = np.tensordot(y, x, axes=([1, 2], [0, 1]))  # (N, C)
-    den = y.sum(axis=(1, 2)) + EPS_DEN
-    return num / den[:, None]
+    return weighted_means(as_image(x), memberships)
 
 
-def _sq_dists(x, centroids):
-    """Per-pixel squared Euclidean distance to each centroid, shape (N, H, W)."""
-    diff = x[None, :, :, :] - centroids[:, None, None, :]
+def residual(x, c, b=None):
+    """Fit residual x(r) - b(r) c_n per channel, shape (N, H, W, C); b = None is b = 1."""
+    fitted = c[:, None, None, :] if b is None else b[None, :, :, None] * c[:, None, None, :]
+    return x[None, :, :, :] - fitted
+
+
+def sq_residual(x, c, b=None):
+    """||x(r) - b(r) c_n||^2 summed over channels, shape (N, H, W)."""
+    diff = residual(x, c, b)
     return np.einsum("nijc,nijc->nij", diff, diff)
 
 
-def _loss_terms(x, y, centroids, cfg):
-    data = float(np.sum(_sq_dists(x, centroids) * y))
-    tv = cfg.lambda_tv * sum(tv_smooth(y[n], cfg.tv_eps) for n in range(y.shape[0]))
-    return data + tv, data, tv
+def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0):
+    """sum_n sum_r ||x - b c_n||^2 y_n + lambda_tv sum_n TV(y_n) [+ gamma TV(b)]
+    as (loss, data, tv_y), with tv_b appended when b is given."""
+    data = float(np.sum(sq_residual(x, c, b) * y))
+    tv_y = lambda_tv * sum(tv_smooth(y[n], tv_eps) for n in range(y.shape[0]))
+    if b is None:
+        return data + tv_y, data, tv_y
+    tv_b = gamma * tv_smooth(b, tv_eps)
+    return data + tv_y + tv_b, data, tv_y, tv_b
 
 
 def ms_loss(x, seg, cfg):
@@ -116,10 +142,7 @@ def ms_loss(x, seg, cfg):
     """
     x = as_image(x)
     y = seg.memberships
-    if y.shape[1:] != x.shape[:2]:
-        raise ValueError(f"segmentation {y.shape} does not match image {x.shape}")
-    c = soft_centroids(x, y)
-    return _loss_terms(x, y, c, cfg)
+    return energy(x, y, weighted_means(x, y), cfg.lambda_tv, cfg.tv_eps)
 
 
 def _chain_softmax(y, grad_y):
@@ -128,13 +151,27 @@ def _chain_softmax(y, grad_y):
     return y * (grad_y - inner)
 
 
-def _grad_y_frozen(x, y, centroids, cfg):
-    g = _sq_dists(x, centroids)
+def _tv_grads(y, tv_eps):
+    """Per-class gradient of TV(y_n), shape (N, H, W)."""
+    return np.stack([tv_smooth_grad(y[n], tv_eps) for n in range(y.shape[0])])
+
+
+def grad_memberships(x, y, c, cfg, b=None):
+    """Gradient of the energy in the memberships, class means (and b) frozen."""
+    g = sq_residual(x, c, b)
     if cfg.lambda_tv != 0.0:
-        g = g + cfg.lambda_tv * np.stack(
-            [tv_smooth_grad(y[n], cfg.tv_eps) for n in range(y.shape[0])]
-        )
+        g = g + cfg.lambda_tv * _tv_grads(y, cfg.tv_eps)
     return g
+
+
+def grad_b(x, y, b, c, tv_eps, gamma):
+    """Gradient of the energy in b, memberships and class means frozen.
+
+    d data / d b(r) = -2 sum_n y_n(r) sum_ch c_n,ch (x_ch(r) - b(r) c_n,ch),
+    plus the TV-of-b adjoint weighted by gamma.
+    """
+    data_grad = -2.0 * np.sum(y * np.einsum("nc,nijc->nij", c, residual(x, c, b)), axis=0)
+    return data_grad + gamma * tv_smooth_grad(b, tv_eps)
 
 
 def ms_loss_grad(x, seg, cfg, mode="frozen-centroids"):
@@ -145,14 +182,12 @@ def ms_loss_grad(x, seg, cfg, mode="frozen-centroids"):
     through the centroid formula as well. Both go through the softmax
     Jacobian.
     """
-    x = as_image(x)
-    y = seg.memberships
-    if y.shape[1:] != x.shape[:2]:
-        raise ValueError(f"segmentation {y.shape} does not match image {x.shape}")
     if mode not in ("frozen-centroids", "full"):
         raise ValueError(f"unknown gradient mode {mode!r}")
-    c = soft_centroids(x, y)
-    grad_y = _grad_y_frozen(x, y, c, cfg)
+    x = as_image(x)
+    y = seg.memberships
+    c = weighted_means(x, y)
+    grad_y = grad_memberships(x, y, c, cfg)
     if mode == "full":
         # d data / d c_n = -2 sum_r (x - c_n) y_n, nonzero only through the
         # EPS_DEN guard since c_n is the exact weighted mean otherwise.
@@ -160,8 +195,7 @@ def ms_loss_grad(x, seg, cfg, mode="frozen-centroids"):
         resid = np.tensordot(y, x, axes=([1, 2], [0, 1])) - c * sum_y[:, None]  # (N, C)
         coeff = -2.0 * resid / (sum_y + EPS_DEN)[:, None]
         # dc_n/dy_n(r) = (x(r) - c_n) / (sum y_n + EPS_DEN), applied per channel
-        diff = x[None, :, :, :] - c[:, None, None, :]
-        grad_y = grad_y + np.einsum("nc,nijc->nij", coeff, diff)
+        grad_y = grad_y + np.einsum("nc,nijc->nij", coeff, residual(x, c))
     return _chain_softmax(y, grad_y)
 
 
@@ -183,13 +217,12 @@ def fixed_point_step(x, seg, cfg, centroids=None):
     y = seg.memberships
     if y.shape[1:] != x.shape[:2]:
         raise ValueError(f"segmentation {y.shape} does not match image {x.shape}")
-    c = soft_centroids(x, y) if centroids is None else np.asarray(centroids, dtype=np.float64)
-    sq = _sq_dists(x, c)
+    c = weighted_means(x, y) if centroids is None else np.asarray(centroids, dtype=np.float64)
+    sq = sq_residual(x, c)
     # (-1)^{delta(n,i)}: -1 for the own class, +1 for every competitor
     competition = sq.sum(axis=0, keepdims=True) - 2.0 * sq
-    curvature = cfg.lambda_tv * np.stack(
-        [curvature_divergence(y[n], cfg.tv_eps) for n in range(y.shape[0])]
-    )
+    # div(grad y_n / |grad y_n|) is the negative TV gradient
+    curvature = -cfg.lambda_tv * _tv_grads(y, cfg.tv_eps)
     velocity = curvature + competition
     info = {"curvature_term": curvature, "data_term": competition, "velocity": velocity}
     return y + cfg.step_size * velocity, info
@@ -274,15 +307,32 @@ def init_logits(x, cfg, init="random"):
     raise ValueError(f"unknown init {init!r}")
 
 
-def _descend(state_eval, step0, line_search, loss_now):
+def iterate(step, terms, max_iters, rel_tol):
+    """Call step() until a stopping rule fires; returns (trace, stop).
+
+    trace is the array of terms and every row step() returned (loss first);
+    step() returns None when it could not move. stop is "rel_tol" (relative
+    loss change below rel_tol), "stalled" (None; no row added) or "max_iters".
+    """
+    trace = [terms]
+    for _ in range(max_iters):
+        row = step()
+        if row is None:
+            return np.array(trace), "stalled"
+        prev = trace[-1][0]
+        trace.append(row)
+        if abs(prev - row[0]) < rel_tol * max(abs(prev), 1e-30):
+            return np.array(trace), "rel_tol"
+    return np.array(trace), "max_iters"
+
+
+def _descend(state_eval, step0, loss_now):
     """Backtracking helper: returns (state, terms, exhausted).
 
     state_eval(eta) evaluates the candidate at step eta against the full
     objective (centroids refreshed); the step is accepted when the loss does
     not increase. Halves the step up to 30 times, then reports exhaustion.
     """
-    if not line_search:
-        return state_eval(step0) + (False,)
     eta = step0
     for _ in range(31):
         cand, terms = state_eval(eta)
@@ -292,40 +342,59 @@ def _descend(state_eval, step0, line_search, loss_now):
     return None, None, True
 
 
+def block_descent(x, cfg, z, b=None, gamma=0.0):
+    """Block-coordinate descent on the energy from logits z (and bias field b).
+
+    Per iteration: a backtracked step on the logits, then, exactly when b is
+    given, one on b clamped to [B_MIN, B_MAX] (see _descend). A block whose
+    backtracking exhausts is skipped; when every block does, the run stops as
+    "stalled". Returns (seg, c, b, trace, stop), stop as from iterate.
+    """
+
+    def evaluate(z, b):
+        seg = SoftSegmentation.from_logits(z)
+        c = weighted_means(x, seg.memberships, b)
+        return (seg, c, b), energy(x, seg.memberships, c, cfg.lambda_tv, cfg.tv_eps, b, gamma)
+
+    def logit_block(seg, c, b):
+        g = _chain_softmax(seg.memberships, grad_memberships(x, seg.memberships, c, cfg, b))
+        return lambda eta: evaluate(seg.logits - eta * g, b)
+
+    def bias_block(seg, c, b):
+        g = grad_b(x, seg.memberships, b, c, cfg.tv_eps, gamma)
+        return lambda eta: evaluate(seg.logits, np.clip(b - eta * g, B_MIN, B_MAX))
+
+    blocks = (logit_block,) if b is None else (logit_block, bias_block)
+    state, terms = evaluate(z, b)
+    del z, b  # state holds the current arrays; let the initial ones be freed
+
+    def step():
+        nonlocal state, terms
+        moved = False
+        for block in blocks:
+            cand, cand_terms, exhausted = _descend(block(*state), cfg.step_size, terms[0])
+            if not exhausted:
+                state, terms, moved = cand, cand_terms, True
+        return terms if moved else None
+
+    trace, stop = iterate(step, terms, cfg.max_iters, cfg.rel_tol)
+    seg, c, b = state
+    return seg, c, b, trace, stop
+
+
 def minimize_ms(x, cfg, init="random"):
     """Alternating minimization: refresh centroids, gradient-step the logits.
 
     Stops when the relative loss change drops below rel_tol or max_iters is
-    reached. With line_search enabled every accepted step is non-increasing
-    in the full objective; exhausted backtracking raises ConvergenceError
-    (trace attached). Returns (seg, centroids, trace) with trace rows
-    (loss, data_term, tv_term).
+    reached. Every accepted step is non-increasing in the full objective;
+    exhausted backtracking raises ConvergenceError (trace attached). Returns
+    (seg, centroids, trace) with trace rows (loss, data_term, tv_term).
     """
     x = as_image(x)
     cfg.validate()
-    z = init_logits(x, cfg, init)
-
-    def evaluate(z_new):
-        seg = SoftSegmentation.from_logits(z_new)
-        c = soft_centroids(x, seg.memberships)
-        return (seg, c, z_new), _loss_terms(x, seg.memberships, c, cfg)
-
-    (seg, c, z), terms = evaluate(z)
-    trace = [terms]
-    for _ in range(cfg.max_iters):
-        g = _chain_softmax(seg.memberships, _grad_y_frozen(x, seg.memberships, c, cfg))
-        cand, new_terms, exhausted = _descend(
-            lambda eta: evaluate(z - eta * g), cfg.step_size, cfg.line_search, terms[0]
+    seg, c, _, trace, stop = block_descent(x, cfg, init_logits(x, cfg, init))
+    if stop == "stalled":
+        raise ConvergenceError(
+            "backtracking exhausted without a non-increasing step", trace=trace, result=(seg, c)
         )
-        if exhausted:
-            raise ConvergenceError(
-                "backtracking exhausted without a non-increasing step",
-                trace=np.array(trace),
-                result=(seg, c),
-            )
-        prev = terms[0]
-        (seg, c, z), terms = cand, new_terms
-        trace.append(terms)
-        if abs(prev - terms[0]) < cfg.rel_tol * max(abs(prev), 1e-30):
-            break
-    return seg, c, np.array(trace)
+    return seg, c, trace

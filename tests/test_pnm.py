@@ -84,3 +84,32 @@ def test_truncated_raster_rejected(tmp_path):
 def test_label_range_enforced(tmp_path):
     with pytest.raises(ValueError):
         pnm.save_labelmap(tmp_path / "x.pgm", np.array([[300]]))
+
+
+def test_sample_above_maxval_rejected(tmp_path):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5 2 2 1\n" + bytes([0, 7, 1, 200]))
+    with pytest.raises(ValueError, match="above maxval"):
+        pnm.load_image(path)
+
+
+def test_samples_at_maxval_accepted(tmp_path):
+    path = tmp_path / "max.pgm"
+    path.write_bytes(b"P5 2 2 7\n" + bytes([0, 7, 1, 7]))
+    assert pnm.load_image(path).max() == 1.0
+
+
+@pytest.mark.parametrize("size", [b"-2 -3", b"0 3", b"2 0"])
+def test_non_positive_size_rejected(tmp_path, size):
+    path = tmp_path / "size.pgm"
+    path.write_bytes(b"P5 " + size + b" 255\n" + bytes(6))
+    with pytest.raises(ValueError, match="size must be positive"):
+        pnm.load_image(path)
+
+
+def test_segment_rejects_sample_above_maxval_with_exit_2(tmp_path):
+    from msvar.cli import main
+
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5 2 2 1\n" + bytes([0, 7, 1, 200]))
+    assert main(["segment", str(path), str(tmp_path / "out")]) == 2

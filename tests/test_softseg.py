@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from msvar import softseg
+from msvar.bias import minimize_ms_bias
 from msvar.errors import ConvergenceError
 from msvar.phantoms import make_phantom
 from msvar.softseg import (
@@ -8,6 +10,7 @@ from msvar.softseg import (
     SoftSegmentation,
     fixed_point_step,
     hard_mask,
+    iterate,
     kmeans_labels,
     minimize_ms,
     ms_loss,
@@ -338,6 +341,71 @@ def test_minimize_validates_config():
         minimize_ms(np.zeros((20, 20, 1)), MsConfig(num_classes=1))
     with pytest.raises(ValueError):
         minimize_ms(np.zeros((20, 20, 1)), MsConfig(step_size=0.0))
+
+
+# ----------------------------------------------------------------- iterate
+
+def test_iterate_stops_on_rel_tol():
+    losses = iter([8.0, 4.0, 4.0 * (1 - 1e-9), 1.0])
+    trace, stop = iterate(lambda: (next(losses), 0.0), (16.0, 0.0), 10, 1e-6)
+    assert stop == "rel_tol"
+    assert trace.shape == (4, 2) and trace[:, 0].tolist() == [16.0, 8.0, 4.0, 4.0 * (1 - 1e-9)]
+
+
+def test_iterate_stops_when_step_stalls():
+    rows = iter([(8.0,), (4.0,), None, (1.0,)])
+    trace, stop = iterate(lambda: next(rows), (16.0,), 10, 1e-6)
+    assert stop == "stalled"
+    assert trace[:, 0].tolist() == [16.0, 8.0, 4.0]  # the stalled step adds no row
+
+
+def test_iterate_stops_at_max_iters():
+    calls = []
+
+    def halve():
+        calls.append(1)
+        return (16.0 / 2 ** len(calls),)
+
+    trace, stop = iterate(halve, (16.0,), 5, 1e-6)
+    assert stop == "max_iters"
+    assert len(calls) == 5 and trace.shape == (6, 1) and trace[-1, 0] == 0.5
+
+
+def _rising_energy(monkeypatch):
+    """Make every energy evaluation after the first far worse than the one before."""
+    real = softseg.energy
+    calls = []
+
+    def rising(*args, **kwargs):
+        terms = real(*args, **kwargs)
+        calls.append(1)
+        return (terms[0] + 1e6 * (len(calls) - 1),) + terms[1:]
+
+    monkeypatch.setattr(softseg, "energy", rising)
+    return calls
+
+
+def test_minimize_ms_raises_with_state_when_backtracking_exhausts(monkeypatch):
+    calls = _rising_energy(monkeypatch)
+    image, _, _ = make_phantom("two-phase", 16, 0.05, 0)
+    with pytest.raises(ConvergenceError) as info:
+        minimize_ms(image, MsConfig(num_classes=2, max_iters=20), init="kmeans")
+    assert len(calls) == 1 + 31  # the start, then 31 rejected steps
+    assert info.value.trace.shape == (1, 3)
+    seg, c = info.value.result
+    assert seg.memberships.shape == (2, 16, 16) and c.shape == (2, 1)
+
+
+def test_minimize_ms_bias_raises_with_state_when_every_block_exhausts(monkeypatch):
+    calls = _rising_energy(monkeypatch)
+    image, _, _ = make_phantom("ramp-bias", 16, 0.02, 0)
+    with pytest.raises(ConvergenceError) as info:
+        minimize_ms_bias(image, MsConfig(num_classes=2, max_iters=20), 0.1, init="kmeans")
+    assert len(calls) == 1 + 31 + 31  # logit block, then bias block
+    assert info.value.trace.shape == (1, 4)
+    seg, b, c = info.value.result
+    assert seg.memberships.shape == (2, 16, 16) and c.shape == (2, 1)
+    assert np.array_equal(b, np.ones((16, 16)))
 
 
 # ----------------------------------------------------------------- kmeans
