@@ -43,6 +43,7 @@ from .metrics import ConfusionCounts, clustering_metrics, overlap_metrics
 from .phantoms import make_phantom
 from .softseg import (
     MsConfig,
+    Result,
     SoftSegmentation,
     fixed_point_step,
     hard_mask,
@@ -62,6 +63,7 @@ __all__ = [
     "ConvergenceError",
     "LevelSetState",
     "MsConfig",
+    "Result",
     "SoftSegmentation",
     "bias_centroids",
     "bias_ms_loss",

@@ -13,6 +13,8 @@ determined up to a scale, so the result is gauge-fixed to mean(b) = 1 after
 convergence.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import ConvergenceError
@@ -59,22 +61,19 @@ def minimize_ms_bias(x, cfg, gamma, init="random"):
     Per iteration: refresh centroids, backtracked gradient step on the
     logits, backtracked gradient step on b (clamped to [0.05, 20]). A block
     whose backtracking exhausts is skipped for that iteration; if every block
-    stalls, ConvergenceError is raised with the trace. After convergence the
-    gauge is fixed by rescaling to mean(b) = 1 (centroids scaled inversely).
+    stalls, ConvergenceError is raised with the Result reached. After
+    convergence the gauge is fixed by rescaling to mean(b) = 1 (centroids
+    scaled inversely).
 
-    Returns (seg, b, centroids, trace) with trace rows
+    Returns a Result with the bias field and trace rows
     (loss, data_term, tv_y_term, tv_b_term).
     """
     x = as_image(x)
     cfg.validate()
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    seg, c, b, trace, stop = block_descent(
-        x, cfg, init_logits(x, cfg, init), np.ones(x.shape[:2]), gamma
-    )
-    if stop == "stalled":
-        raise ConvergenceError(
-            "backtracking exhausted in every block", trace=trace, result=(seg, b, c)
-        )
-    scale = float(b.mean())
-    return seg, b / scale, c * scale, trace
+    result = block_descent(x, cfg, init_logits(x, cfg, init), np.ones(x.shape[:2]), gamma)
+    if result.stop == "stalled":
+        raise ConvergenceError("backtracking exhausted in every block", result)
+    scale = float(result.bias.mean())
+    return replace(result, bias=result.bias / scale, centroids=result.centroids * scale)

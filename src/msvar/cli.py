@@ -14,22 +14,18 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import _thread_cap, pnm
 from .bias import minimize_ms_bias
 from .errors import ConvergenceError
 from .levelset import segment_levelset
 from .metrics import clustering_metrics, overlap_metrics
 from .phantoms import PHANTOM_KINDS, make_phantom
-from .softseg import MsConfig, hard_mask, minimize_ms
+from .softseg import MsConfig, minimize_ms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NOCONV = 3
-
-SOLVERS = ("ms", "ms-bias", "levelset")
 
 # Fully resolved parameter set recorded in run.json; a run can be reproduced
 # byte-identically from that file alone.
@@ -61,9 +57,11 @@ def _write_json(path, obj):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_trace(path, trace, columns):
+def _write_trace(path, trace):
+    # one column per energy term: (loss, data, tv_y[, tv_b])
+    columns = ("iter", "loss", "data_term", "tv_term", "tv_b_term")[: trace.shape[1] + 1]
     lines = [",".join(columns)]
-    for i, row in enumerate(np.atleast_2d(trace)):
+    for i, row in enumerate(trace):
         lines.append(",".join([str(i)] + [repr(float(v)) for v in row]))
     path.write_text("\n".join(lines) + "\n")
 
@@ -119,7 +117,7 @@ def _resolve_segment_params(args):
         out_dir = args.paths[0]
     else:
         raise UsageError("expected INPUT OUT_DIR (or --config with a stored input and OUT_DIR)")
-    if params["solver"] not in SOLVERS:
+    if params["solver"] not in SOLVE:
         raise UsageError(f"unknown solver {params['solver']!r}")
     return params, Path(out_dir)
 
@@ -128,13 +126,21 @@ class UsageError(Exception):
     pass
 
 
-def _hard_region_means(image, labels, num_classes):
-    means = np.zeros((num_classes, image.shape[2]))
-    for k in range(num_classes):
-        sel = labels == k
-        if sel.any():
-            means[k] = image[sel].mean(axis=0)
-    return means
+def _ms_config(p):
+    return MsConfig(num_classes=p["classes"], lambda_tv=p["lambda"], step_size=p["eta"],
+                    max_iters=p["max_iters"], rel_tol=p["rel_tol"], tv_eps=p["tv_eps"],
+                    seed=p["seed"])
+
+
+# Solver name -> call on (image, params). The solvers are looked up as module
+# attributes at call time, so a wrapper installed on this module takes effect.
+SOLVE = {
+    "ms": lambda x, p: minimize_ms(x, _ms_config(p), p["init"]),
+    "ms-bias": lambda x, p: minimize_ms_bias(x, _ms_config(p), p["gamma"], p["init"]),
+    "levelset": lambda x, p: segment_levelset(
+        x, phases=p["phases"], lambda_tv=p["lambda"], dt=p["dt"], eps_h=p["eps_h"],
+        max_iters=p["max_iters"], rel_tol=p["rel_tol"], seed=p["seed"]),
+}
 
 
 def cmd_segment(args):
@@ -143,61 +149,25 @@ def cmd_segment(args):
     out.mkdir(parents=True, exist_ok=True)
 
     converged = True
-    bias_field = None
-    if params["solver"] in ("ms", "ms-bias"):
-        cfg = MsConfig(
-            num_classes=params["classes"],
-            lambda_tv=params["lambda"],
-            step_size=params["eta"],
-            max_iters=params["max_iters"],
-            rel_tol=params["rel_tol"],
-            tv_eps=params["tv_eps"],
-            seed=params["seed"],
-        )
-        if params["solver"] == "ms":
-            columns = ["iter", "loss", "data_term", "tv_term"]
-            try:
-                seg, centroids, trace = minimize_ms(image, cfg, params["init"])
-            except ConvergenceError as err:
-                (seg, centroids), trace, converged = err.result, err.trace, False
-        else:
-            columns = ["iter", "loss", "data_term", "tv_term", "tv_b_term"]
-            try:
-                seg, bias_field, centroids, trace = minimize_ms_bias(
-                    image, cfg, params["gamma"], params["init"]
-                )
-            except ConvergenceError as err:
-                (seg, bias_field, centroids), trace, converged = err.result, err.trace, False
-        mask = hard_mask(seg)
-    else:
-        columns = ["iter", "loss", "data_term", "tv_term"]
-        try:
-            mask, trace = segment_levelset(
-                image,
-                phases=params["phases"],
-                lambda_tv=params["lambda"],
-                dt=params["dt"],
-                eps_h=params["eps_h"],
-                max_iters=params["max_iters"],
-                rel_tol=params["rel_tol"],
-                seed=params["seed"],
-            )
-        except ConvergenceError as err:
-            (mask, trace), converged = err.result, False
-        centroids = _hard_region_means(image, mask, 2 ** params["phases"])
+    try:
+        result = SOLVE[params["solver"]](image, params)
+    except ConvergenceError as err:
+        result, converged = err.result, False
 
-    pnm.save_labelmap(out / "mask.pgm", mask)
-    _write_trace(out / "trace.csv", trace, columns)
-    if bias_field is not None:
-        pnm.save_field_pgm(out / "bias.pgm", bias_field)
-        pnm.save_field_bin(out / "bias.bin", bias_field)
+    trace = result.trace
+    pnm.save_labelmap(out / "mask.pgm", result.labels)
+    _write_trace(out / "trace.csv", trace)
+    if result.bias is not None:
+        pnm.save_field_pgm(out / "bias.pgm", result.bias)
+        pnm.save_field_bin(out / "bias.bin", result.bias)
     run = dict(params)
     run["command"] = "segment"
     run["results"] = {
         "converged": converged,
+        "stop": result.stop,
         "iterations": len(trace) - 1,
         "final_loss": float(trace[-1][0]),
-        "centroids": [[float(v) for v in row] for row in centroids],
+        "centroids": [[float(v) for v in row] for row in result.centroids],
     }
     _write_json(out / "run.json", run)
     if not converged:
@@ -233,7 +203,7 @@ def build_parser():
     p_synth.add_argument("out_dir")
 
     p_seg = sub.add_parser("segment", help="segment an image")
-    p_seg.add_argument("--solver", choices=SOLVERS)
+    p_seg.add_argument("--solver", choices=SOLVE)
     p_seg.add_argument("--classes", type=int)
     p_seg.add_argument("--phases", type=int)
     p_seg.add_argument("--lambda", dest="lambda_tv", type=float)

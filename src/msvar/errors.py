@@ -4,11 +4,10 @@
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to make progress.
 
-    Carries the loss trace accumulated so far and, when available, the best
-    state reached (`result`), so callers can still inspect or export it.
+    Carries the solver's Result for the state it stopped in (`result`), so
+    callers can still inspect or export it.
     """
 
-    def __init__(self, message, trace=None, result=None):
+    def __init__(self, message, result):
         super().__init__(message)
-        self.trace = trace
         self.result = result

@@ -5,7 +5,7 @@ Heaviside surrogate H_eps(phi) = (1 + (2/pi) atan(phi/eps)) / 2 makes region
 memberships differentiable and its derivative delta_eps localizes the
 updates near the zero level sets. Evolution is explicit Euler on the
 curvature + region-competition velocities, with region means refreshed every
-step.
+step and the step halved while the energy rises.
 """
 
 from dataclasses import dataclass, replace
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import as_image
-from .softseg import energy, iterate, sq_residual, weighted_means
+from .softseg import Result, _descend, energy, iterate, sq_residual, weighted_means
 
 # Not called here; bound only so that perfbench/tracing.py's per-module targets resolve.
 from .grid import tv_smooth  # noqa: F401
@@ -171,28 +171,38 @@ def segment_levelset(
 ):
     """Evolve a seeded sinusoid initialization until the energy settles.
 
-    Returns (labels, trace) with trace rows (energy, data, tv). If max_iters
-    is reached before the relative energy change drops below rel_tol, raises
-    ConvergenceError whose .result carries (labels, trace) of the best
-    (lowest-energy) state seen.
+    Each step is an Euler step of trial length dt, halved while the energy
+    rises (softseg._descend), so the trace is non-increasing. Returns a
+    Result with the sign-pattern labels, their plain per-region means and
+    trace rows (energy, data, tv). Unless the relative energy change drops
+    below rel_tol, raises ConvergenceError carrying that Result.
     """
     x = as_image(x)
     if phases not in (1, 2):
         raise ValueError(f"phases must be 1 or 2, got {phases}")
     state = initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed)
     terms = levelset_energy(x, state)
-    best = (terms[0], state)
+
+    def trial(eta):
+        cand = evolve_step(x, replace(state, dt=eta))
+        return cand, levelset_energy(x, cand)
 
     def step():
-        nonlocal state, best
-        state = evolve_step(x, state)
-        row = levelset_energy(x, state)
-        if row[0] < best[0]:
-            best = (row[0], state)
-        return row
+        nonlocal state, terms
+        cand, cand_terms, exhausted = _descend(trial, dt, terms[0])
+        if exhausted:
+            return None
+        state, terms = cand, cand_terms
+        return terms
 
     trace, stop = iterate(step, terms, max_iters, rel_tol)
-    if stop == "rel_tol":
-        return hard_labels(state), trace
-    msg = f"energy did not settle within {max_iters} steps"
-    raise ConvergenceError(msg, trace=trace, result=(hard_labels(best[1]), trace))
+    labels = hard_labels(state)
+    means = np.zeros((state.num_classes, x.shape[2]))
+    for k in range(state.num_classes):
+        sel = labels == k
+        if sel.any():
+            means[k] = x[sel].mean(axis=0)
+    result = Result(labels, means, trace, stop)
+    if stop != "rel_tol":
+        raise ConvergenceError(f"energy did not settle: {stop} after {len(trace) - 1} steps", result)
+    return result

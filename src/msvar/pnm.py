@@ -47,9 +47,9 @@ def _read_raster(path):
     magic, width, height, maxval, offset = _read_header(data)
     channels = 3 if magic == "P6" else 1
     count = width * height * channels
-    raster = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset)
-    if raster.size != count:
+    if len(data) - offset < count:
         raise ValueError(f"PNM raster truncated in {path}")
+    raster = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset)
     if raster.max() > maxval:
         raise ValueError(f"PNM sample {raster.max()} above maxval {maxval} in {path}")
     return raster.reshape(height, width, channels), maxval

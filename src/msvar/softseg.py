@@ -88,6 +88,23 @@ class SoftSegmentation:
         return self.logits.shape[0]
 
 
+@dataclass(frozen=True)
+class Result:
+    """What every solver returns and every ConvergenceError carries.
+
+    trace rows are the energy terms (loss first) of the start and of each
+    accepted step; stop is the reason iterate gave. seg is None for the
+    level-set solver, bias is None unless a bias field was estimated.
+    """
+
+    labels: np.ndarray  # (H, W)
+    centroids: np.ndarray  # (N, C)
+    trace: np.ndarray
+    stop: str
+    seg: SoftSegmentation | None = None
+    bias: np.ndarray | None = None
+
+
 def weighted_means(x, y, b=None):
     """Class means of the fit x ~ b c_n under memberships y, per channel:
     c[n, ch] = sum_r b x_ch y_n / (sum_r b^2 y_n + EPS_DEN); b = None is b = 1."""
@@ -348,7 +365,7 @@ def block_descent(x, cfg, z, b=None, gamma=0.0):
     Per iteration: a backtracked step on the logits, then, exactly when b is
     given, one on b clamped to [B_MIN, B_MAX] (see _descend). A block whose
     backtracking exhausts is skipped; when every block does, the run stops as
-    "stalled". Returns (seg, c, b, trace, stop), stop as from iterate.
+    "stalled". Returns a Result whose labels are the argmax of the memberships.
     """
 
     def evaluate(z, b):
@@ -379,7 +396,7 @@ def block_descent(x, cfg, z, b=None, gamma=0.0):
 
     trace, stop = iterate(step, terms, cfg.max_iters, cfg.rel_tol)
     seg, c, b = state
-    return seg, c, b, trace, stop
+    return Result(hard_mask(seg), c, trace, stop, seg, b)
 
 
 def minimize_ms(x, cfg, init="random"):
@@ -387,14 +404,12 @@ def minimize_ms(x, cfg, init="random"):
 
     Stops when the relative loss change drops below rel_tol or max_iters is
     reached. Every accepted step is non-increasing in the full objective;
-    exhausted backtracking raises ConvergenceError (trace attached). Returns
-    (seg, centroids, trace) with trace rows (loss, data_term, tv_term).
+    exhausted backtracking raises ConvergenceError with the Result attached.
+    Returns a Result with trace rows (loss, data_term, tv_term).
     """
     x = as_image(x)
     cfg.validate()
-    seg, c, _, trace, stop = block_descent(x, cfg, init_logits(x, cfg, init))
-    if stop == "stalled":
-        raise ConvergenceError(
-            "backtracking exhausted without a non-increasing step", trace=trace, result=(seg, c)
-        )
-    return seg, c, trace
+    result = block_descent(x, cfg, init_logits(x, cfg, init))
+    if result.stop == "stalled":
+        raise ConvergenceError("backtracking exhausted without a non-increasing step", result)
+    return result

@@ -205,7 +205,7 @@ def test_criterion_4_unsupervised_convergence():
         image, gt, _ = make_phantom("two-phase", 64, 0.05, 7)
         cfg = MsConfig(num_classes=2, lambda_tv=1e-3, step_size=0.5, max_iters=500, seed=0)
         t0 = time.perf_counter()
-        seg, _, _ = minimize_ms(image, cfg, init="kmeans")
+        seg = minimize_ms(image, cfg, init="kmeans").seg
         elapsed = time.perf_counter() - t0
         ious = best_permutation_ious(hard_mask(seg), gt, 2)
         assert min(ious) >= 0.99, f"two-phase IoU {min(ious):.4f}"
@@ -213,7 +213,7 @@ def test_criterion_4_unsupervised_convergence():
 
         image4, gt4, _ = make_phantom("four-phase", 64, 0.02, 7)
         cfg4 = MsConfig(num_classes=4, lambda_tv=1e-3, step_size=0.5, max_iters=500, seed=0)
-        seg4, _, _ = minimize_ms(image4, cfg4, init="kmeans")
+        seg4 = minimize_ms(image4, cfg4, init="kmeans").seg
         ious4 = best_permutation_ious(hard_mask(seg4), gt4, 4)
         assert min(ious4) >= 0.98, f"four-phase per-class IoU {min(ious4):.4f}"
 
@@ -225,9 +225,10 @@ def test_criterion_5_bias_correction():
         image, gt, btrue = make_phantom("ramp-bias", 64, 0.02, 3)
         cfg = MsConfig(num_classes=2, lambda_tv=1e-3, step_size=2.0, max_iters=1500,
                        seed=0, tv_eps=1e-2)
-        seg_b, b, _, _ = minimize_ms_bias(image, cfg, gamma=0.1, init="kmeans")
+        result_b = minimize_ms_bias(image, cfg, gamma=0.1, init="kmeans")
+        seg_b, b = result_b.seg, result_b.bias
         cfg_p = MsConfig(num_classes=2, lambda_tv=1e-3, step_size=0.5, max_iters=500, seed=0)
-        seg_p, _, _ = minimize_ms(image, cfg_p, init="kmeans")
+        seg_p = minimize_ms(image, cfg_p, init="kmeans").seg
         iou_b = min(best_permutation_ious(hard_mask(seg_b), gt, 2))
         iou_p = min(best_permutation_ious(hard_mask(seg_p), gt, 2))
         assert iou_b >= iou_p, f"bias IoU {iou_b:.4f} < plain IoU {iou_p:.4f}"
@@ -248,15 +249,16 @@ def _run_levelset(*args, **kwargs):
 def test_criterion_6_levelset_baseline():
     def body():
         image, gt, _ = make_phantom("two-phase", 64, 0.0, 0)
-        labels, trace = _run_levelset(image, phases=1, lambda_tv=1e-2, dt=0.5,
-                                      max_iters=800, seed=0)
+        result = _run_levelset(image, phases=1, lambda_tv=1e-2, dt=0.5, max_iters=800, seed=0)
+        labels, trace = result.labels, result.trace
         iou = max(overlap_metrics(labels, gt, 1)[0], overlap_metrics(1 - labels, gt, 1)[0])
         assert iou >= 0.98, f"two-phase IoU {iou:.4f}"
         assert np.all(np.diff(trace[:, 0]) <= 1e-6), "energy increased beyond slack"
 
         image4, gt4, _ = make_phantom("four-phase", 64, 0.0, 0)
-        labels4, trace4 = _run_levelset(image4, phases=2, lambda_tv=1e-2, dt=2.0,
-                                        eps_h=2.0, max_iters=3000, seed=0)
+        result4 = _run_levelset(image4, phases=2, lambda_tv=1e-2, dt=2.0,
+                                eps_h=2.0, max_iters=3000, seed=0)
+        labels4, trace4 = result4.labels, result4.trace
         ious = best_permutation_ious(labels4, gt4, 4)
         assert min(ious) >= 0.95, f"four-phase per-class IoU {min(ious):.4f}"
         assert np.all(np.diff(trace4[:, 0]) <= 1e-6), "energy increased beyond slack"
@@ -269,12 +271,12 @@ def test_criterion_7_monotone_descent():
         for seed in range(5):
             image, _, _ = make_phantom("two-phase", 48, 0.05, seed)
             cfg = MsConfig(num_classes=2, max_iters=80, seed=seed)
-            _, _, trace = minimize_ms(image, cfg, init="random")
+            trace = minimize_ms(image, cfg, init="random").trace
             assert np.all(np.diff(trace[:, 0]) <= 0), f"ms trace increased (seed {seed})"
         for seed in range(5):
             image, _, _ = make_phantom("ramp-bias", 48, 0.05, seed)
             cfg = MsConfig(num_classes=2, max_iters=60, seed=seed, tv_eps=1e-2)
-            _, _, _, trace = minimize_ms_bias(image, cfg, gamma=0.1, init="random")
+            trace = minimize_ms_bias(image, cfg, gamma=0.1, init="random").trace
             assert np.all(np.diff(trace[:, 0]) <= 0), f"bias trace increased (seed {seed})"
 
     report(7, "backtracked descent is non-increasing on 10 seeded phantoms", body)
@@ -340,10 +342,10 @@ def test_criterion_9_natural_image_ordering():
         image = crop(pnm.load_image(img_path))
         gt = crop(pnm.load_labelmap(gt_path))
         cfg = MsConfig(num_classes=4, lambda_tv=1e-3, max_iters=300, seed=0)
-        seg, _, _ = minimize_ms(image, cfg, init="kmeans")
+        seg = minimize_ms(image, cfg, init="kmeans").seg
         rc_ms.append(clustering_metrics(hard_mask(seg), gt)[0])
-        labels, _ = _run_levelset(image, phases=1, lambda_tv=1e-2, dt=0.5,
-                                  max_iters=500, seed=0)
+        labels = _run_levelset(image, phases=1, lambda_tv=1e-2, dt=0.5,
+                               max_iters=500, seed=0).labels
         rc_ls.append(clustering_metrics(labels, gt)[0])
     mean_ms, mean_ls = float(np.mean(rc_ms)), float(np.mean(rc_ls))
     line = f"mean RC: relaxed solver {mean_ms:.3f} vs level-set {mean_ls:.3f}"

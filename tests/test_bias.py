@@ -134,9 +134,10 @@ def test_ramp_bias_recovery():
     image, gt, btrue = make_phantom("ramp-bias", 64, 0.02, 3)
     cfg = MsConfig(num_classes=2, lambda_tv=1e-3, step_size=2.0, max_iters=1500,
                    seed=0, tv_eps=1e-2)
-    seg, b, c, trace = minimize_ms_bias(image, cfg, gamma=0.1, init="kmeans")
+    result = minimize_ms_bias(image, cfg, gamma=0.1, init="kmeans")
+    seg, b, c, trace = result.seg, result.bias, result.centroids, result.trace
     plain_cfg = MsConfig(num_classes=2, lambda_tv=1e-3, step_size=0.5, max_iters=500, seed=0)
-    seg_plain, _, _ = minimize_ms(image, plain_cfg, init="kmeans")
+    seg_plain = minimize_ms(image, plain_cfg, init="kmeans").seg
     iou_bias = min(best_permutation_ious(hard_mask(seg), gt, 2))
     iou_plain = min(best_permutation_ious(hard_mask(seg_plain), gt, 2))
     assert iou_bias >= iou_plain
@@ -150,15 +151,16 @@ def test_bias_free_phantom_keeps_b_near_one():
     image, _, _ = make_phantom("two-phase", 64, 0.02, 5)
     cfg = MsConfig(num_classes=2, lambda_tv=1e-3, step_size=2.0, max_iters=1500,
                    seed=0, tv_eps=1e-2)
-    _, b, _, _ = minimize_ms_bias(image, cfg, gamma=0.1, init="kmeans")
+    b = minimize_ms_bias(image, cfg, gamma=0.1, init="kmeans").bias
     assert np.max(np.abs(b - 1.0)) < 0.1
 
 
 def test_huge_gamma_pins_b_constant():
     image, _, _ = make_phantom("two-phase", 64, 0.02, 5)
     cfg = MsConfig(num_classes=2, lambda_tv=1e-3, step_size=0.5, max_iters=300, seed=0)
-    seg_b, b, _, _ = minimize_ms_bias(image, cfg, gamma=1e6, init="kmeans")
-    seg_p, _, _ = minimize_ms(image, cfg, init="kmeans")
+    result_b = minimize_ms_bias(image, cfg, gamma=1e6, init="kmeans")
+    seg_b, b = result_b.seg, result_b.bias
+    seg_p = minimize_ms(image, cfg, init="kmeans").seg
     assert np.max(np.abs(b - b.mean())) < 1e-3
     assert np.array_equal(hard_mask(seg_b), hard_mask(seg_p))
 
@@ -167,7 +169,7 @@ def test_bias_monotone_descent():
     for seed in range(3):
         image, _, _ = make_phantom("ramp-bias", 32, 0.05, seed)
         cfg = MsConfig(num_classes=2, max_iters=60, seed=seed, tv_eps=1e-2)
-        _, _, _, trace = minimize_ms_bias(image, cfg, gamma=0.1, init="random")
+        trace = minimize_ms_bias(image, cfg, gamma=0.1, init="random").trace
         assert np.all(np.diff(trace[:, 0]) <= 0)
 
 

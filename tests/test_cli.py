@@ -9,7 +9,7 @@ import pytest
 
 import msvar
 from msvar import pnm
-from msvar.cli import main
+from msvar.cli import SOLVE, main
 
 
 def run(argv):
@@ -105,6 +105,53 @@ def test_segment_levelset_four_phase(tmp_path):
     assert code in (0, 3)  # non-convergence still writes outputs
     mask = pnm.load_labelmap(out / "mask.pgm")
     assert set(np.unique(mask)) == {0, 1, 2, 3}
+
+
+def test_segment_levelset_backtracks_past_an_energy_rise(tmp_path):
+    # an unguarded dt 2 Euler step raises the energy once on this phantom, and the
+    # relative-change test used to stop there: 11 steps, pixel accuracy 0.51
+    data = synth(tmp_path, size=256, sigma=0.05, seed=2)
+    out = tmp_path / "run"
+    code = run(["segment", "--solver", "levelset", "--phases", 1, "--lambda", 1e-2,
+                "--dt", 2, "--eps-h", 1, "--max-iters", 150, data / "image.pgm", out])
+    assert code in (0, 3)
+    rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.all(np.diff(rows[:, 1]) <= 0)
+    mask, gt = pnm.load_labelmap(out / "mask.pgm"), pnm.load_labelmap(data / "gt.pgm")
+    assert max(np.mean(mask == gt), np.mean(mask != gt)) >= 0.99
+
+
+# image, classes (ms, ms-bias), phases (levelset)
+EDGE_IMAGES = {
+    "1x1": (np.full((1, 1, 1), 0.5), 2, 1),
+    "1x9": (np.linspace(0.0, 1.0, 9).reshape(1, 9, 1), 2, 1),
+    "9x1": (np.linspace(0.0, 1.0, 9).reshape(9, 1, 1), 2, 1),
+    "constant-16": (np.full((16, 16, 1), 0.5), 2, 1),
+    "two-valued-8": (np.where(np.arange(64).reshape(8, 8, 1) % 3 == 0, 0.2, 0.8), 4, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_IMAGES))
+@pytest.mark.parametrize("solver", sorted(SOLVE))
+def test_segment_edge_case_outputs(tmp_path, solver, case):
+    image, classes, phases = EDGE_IMAGES[case]
+    n = 2 ** phases if solver == "levelset" else classes
+    pnm.save_image(tmp_path / "image.pgm", image)
+    out = tmp_path / "run"
+    code = run(["segment", "--solver", solver, "--classes", classes, "--phases", phases,
+                "--max-iters", 50, tmp_path / "image.pgm", out])
+    assert code in (0, 3)
+    mask = pnm.load_labelmap(out / "mask.pgm")
+    assert mask.shape == image.shape[:2] and mask.max() < n
+    results = json.loads((out / "run.json").read_text())["results"]
+    rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert results["iterations"] == len(rows) - 1
+    assert results["final_loss"] == rows[-1, 1]
+    assert len(results["centroids"]) == n
+    if solver == "levelset":
+        x = pnm.load_image(tmp_path / "image.pgm")[:, :, 0]
+        want = [x[mask == k].mean() if np.any(mask == k) else 0.0 for k in range(n)]
+        assert np.max(np.abs(np.array(results["centroids"])[:, 0] - want)) <= 1e-12
 
 
 def test_segment_determinism(tmp_path):

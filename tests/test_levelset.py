@@ -179,16 +179,18 @@ def run_segment(*args, **kwargs):
 
 def test_segment_two_phase():
     image, gt, _ = make_phantom("two-phase", 64, 0.0, 0)
-    (labels, trace), _ = run_segment(image, phases=1, lambda_tv=1e-2, dt=0.5, max_iters=800, seed=0)
+    result, _ = run_segment(image, phases=1, lambda_tv=1e-2, dt=0.5, max_iters=800, seed=0)
+    labels, trace = result.labels, result.trace
     assert iou_binary(labels, gt) >= 0.98
     assert np.all(np.diff(trace[:, 0]) <= 1e-6)
 
 
 def test_segment_four_phase():
     image, gt, _ = make_phantom("four-phase", 64, 0.0, 0)
-    (labels, trace), _ = run_segment(
+    result, _ = run_segment(
         image, phases=2, lambda_tv=1e-2, dt=2.0, eps_h=2.0, max_iters=3000, seed=0
     )
+    labels, trace = result.labels, result.trace
     assert min(best_permutation_ious(labels, gt, 4)) >= 0.95
     assert np.all(np.diff(trace[:, 0]) <= 1e-6)
 
@@ -197,7 +199,8 @@ def test_segment_constant_image():
     # pure curvature motion: needs a small dt*lambda product to stay
     # monotone through the cell-collapse events, and many steps to finish
     x = np.full((24, 24, 1), 0.5)
-    (labels, trace), _ = run_segment(x, phases=1, lambda_tv=0.1, dt=0.05, max_iters=30000, seed=0)
+    result, _ = run_segment(x, phases=1, lambda_tv=0.1, dt=0.05, max_iters=30000, seed=0)
+    labels, trace = result.labels, result.trace
     assert np.all(np.diff(trace[:, 0]) <= 1e-6)
     assert len(np.unique(labels)) == 1
 

@@ -77,7 +77,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncated_raster_rejected(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="PNM raster truncated in"):
         pnm.load_image(path)
 
 

@@ -4,9 +4,11 @@ import pytest
 from msvar import softseg
 from msvar.bias import minimize_ms_bias
 from msvar.errors import ConvergenceError
+from msvar.levelset import segment_levelset
 from msvar.phantoms import make_phantom
 from msvar.softseg import (
     MsConfig,
+    Result,
     SoftSegmentation,
     fixed_point_step,
     hard_mask,
@@ -296,7 +298,8 @@ def test_hard_mask_matches_argmax_oracle():
 def test_minimize_two_phase_phantom():
     image, gt, _ = make_phantom("two-phase", 64, 0.05, 7)
     cfg = MsConfig(num_classes=2, lambda_tv=1e-3, step_size=0.5, max_iters=500, seed=0)
-    seg, _, trace = minimize_ms(image, cfg, init="kmeans")
+    result = minimize_ms(image, cfg, init="kmeans")
+    seg, trace = result.seg, result.trace
     ious = best_permutation_ious(hard_mask(seg), gt, 2)
     assert min(ious) >= 0.99
     assert np.all(np.diff(trace[:, 0]) <= 0)
@@ -305,7 +308,7 @@ def test_minimize_two_phase_phantom():
 def test_minimize_constant_image_terminates_at_zero():
     x = np.full((24, 24, 1), 0.5)
     cfg = MsConfig(num_classes=2, max_iters=50, seed=1)
-    seg, _, trace = minimize_ms(x, cfg, init="kmeans")
+    trace = minimize_ms(x, cfg, init="kmeans").trace
     assert np.max(np.abs(trace[:, 0])) < 1e-12
     assert len(trace) - 1 < 50  # stopped by rel_tol, not the iteration cap
 
@@ -313,7 +316,8 @@ def test_minimize_constant_image_terminates_at_zero():
 def test_minimize_four_phase_phantom():
     image, gt, _ = make_phantom("four-phase", 64, 0.02, 7)
     cfg = MsConfig(num_classes=4, lambda_tv=1e-3, step_size=0.5, max_iters=500, seed=0)
-    seg, _, trace = minimize_ms(image, cfg, init="kmeans")
+    result = minimize_ms(image, cfg, init="kmeans")
+    seg, trace = result.seg, result.trace
     ious = best_permutation_ious(hard_mask(seg), gt, 4)
     assert min(ious) >= 0.98
 
@@ -322,15 +326,17 @@ def test_minimize_monotone_descent_random_seeds():
     for seed in range(3):
         image, _, _ = make_phantom("two-phase", 32, 0.1, seed)
         cfg = MsConfig(num_classes=2, max_iters=60, seed=seed)
-        _, _, trace = minimize_ms(image, cfg, init="random")
+        trace = minimize_ms(image, cfg, init="random").trace
         assert np.all(np.diff(trace[:, 0]) <= 0)
 
 
 def test_minimize_deterministic():
     image, _, _ = make_phantom("two-phase", 32, 0.05, 3)
     cfg = MsConfig(num_classes=2, max_iters=40, seed=5)
-    seg1, c1, t1 = minimize_ms(image, cfg, init="random")
-    seg2, c2, t2 = minimize_ms(image, cfg, init="random")
+    r1 = minimize_ms(image, cfg, init="random")
+    r2 = minimize_ms(image, cfg, init="random")
+    seg1, c1, t1 = r1.seg, r1.centroids, r1.trace
+    seg2, c2, t2 = r2.seg, r2.centroids, r2.trace
     assert np.array_equal(seg1.logits, seg2.logits)
     assert np.array_equal(c1, c2)
     assert np.array_equal(t1, t2)
@@ -391,8 +397,8 @@ def test_minimize_ms_raises_with_state_when_backtracking_exhausts(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         minimize_ms(image, MsConfig(num_classes=2, max_iters=20), init="kmeans")
     assert len(calls) == 1 + 31  # the start, then 31 rejected steps
-    assert info.value.trace.shape == (1, 3)
-    seg, c = info.value.result
+    assert info.value.result.trace.shape == (1, 3)
+    seg, c = info.value.result.seg, info.value.result.centroids
     assert seg.memberships.shape == (2, 16, 16) and c.shape == (2, 1)
 
 
@@ -402,8 +408,8 @@ def test_minimize_ms_bias_raises_with_state_when_every_block_exhausts(monkeypatc
     with pytest.raises(ConvergenceError) as info:
         minimize_ms_bias(image, MsConfig(num_classes=2, max_iters=20), 0.1, init="kmeans")
     assert len(calls) == 1 + 31 + 31  # logit block, then bias block
-    assert info.value.trace.shape == (1, 4)
-    seg, b, c = info.value.result
+    assert info.value.result.trace.shape == (1, 4)
+    seg, b, c = info.value.result.seg, info.value.result.bias, info.value.result.centroids
     assert seg.memberships.shape == (2, 16, 16) and c.shape == (2, 1)
     assert np.array_equal(b, np.ones((16, 16)))
 
@@ -450,3 +456,22 @@ def _uniform(shape):
 def test_kmeans_matches_per_pixel_oracle_on_edge_cases(x, num_classes):
     for seed in (0, 1, 2):
         _assert_matches_kmeans_oracle(x, num_classes, seed)
+
+
+@pytest.mark.parametrize("solve, soft, biased", [
+    (lambda x: minimize_ms(x, MsConfig(num_classes=2, max_iters=5)), True, False),
+    (lambda x: minimize_ms_bias(x, MsConfig(num_classes=2, max_iters=5), 0.1), True, True),
+    (lambda x: segment_levelset(x, max_iters=5), False, False),
+], ids=["ms", "ms-bias", "levelset"])
+def test_every_solver_returns_one_record(solve, soft, biased):
+    image, _, _ = make_phantom("two-phase", 16, 0.05, 0)
+    try:
+        result = solve(image)
+    except ConvergenceError as err:  # levelset: the energy did not settle in 5 steps
+        result = err.result
+    assert isinstance(result, Result) and result.stop == "max_iters"
+    assert result.labels.shape == (16, 16) and result.centroids.shape == (2, 1)
+    assert len(result.trace) == 6 and result.trace.shape[1] == (4 if biased else 3)
+    assert (result.seg is not None) == soft and (result.bias is not None) == biased
+    if soft:
+        assert np.array_equal(result.labels, hard_mask(result.seg))
