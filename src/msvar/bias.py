@@ -17,14 +17,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .grid import as_image
 from .softseg import B_MAX, B_MIN  # noqa: F401  (the clamp range of b, re-exported)
-from .softseg import block_descent, energy, grad_b, init_logits, weighted_means
+from .softseg import _softmax_descent, energy, grad_b, weighted_means
 
 # Not called here; bound only so that perfbench/tracing.py's per-module targets resolve.
 from .grid import tv_smooth, tv_smooth_grad  # noqa: F401
-from .softseg import _descend  # noqa: F401
+from .softseg import _descend, init_logits  # noqa: F401
 
 
 def bias_centroids(x, memberships, b):
@@ -72,8 +71,6 @@ def minimize_ms_bias(x, cfg, gamma, init="random"):
     cfg.validate()
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    result = block_descent(x, cfg, init_logits(x, cfg, init), np.ones(x.shape[:2]), gamma)
-    if result.stop == "stalled":
-        raise ConvergenceError("backtracking exhausted in every block", result)
+    result = _softmax_descent(x, cfg, init, gamma)
     scale = float(result.bias.mean())
     return replace(result, bias=result.bias / scale, centroids=result.centroids * scale)

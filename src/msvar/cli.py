@@ -28,7 +28,7 @@ EXIT_IO = 2
 EXIT_NOCONV = 3
 
 # Fully resolved parameter set recorded in run.json; a run can be reproduced
-# byte-identically from that file alone.
+# byte-identically from that file alone. Every key but input is also a flag.
 SEGMENT_DEFAULTS = {
     "solver": "ms",
     "input": None,
@@ -95,22 +95,7 @@ def _resolve_segment_params(args):
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
         params.update({k: loaded[k] for k in SEGMENT_DEFAULTS if k in loaded})
-    flag_map = {
-        "solver": args.solver,
-        "classes": args.classes,
-        "phases": args.phases,
-        "lambda": args.lambda_tv,
-        "gamma": args.gamma,
-        "eta": args.eta,
-        "dt": args.dt,
-        "eps_h": args.eps_h,
-        "max_iters": args.max_iters,
-        "rel_tol": args.rel_tol,
-        "tv_eps": args.tv_eps,
-        "seed": args.seed,
-        "init": args.init,
-    }
-    params.update({k: v for k, v in flag_map.items() if v is not None})
+    params.update({k: v for k, v in vars(args).items() if k in SEGMENT_DEFAULTS and v is not None})
     if len(args.paths) == 2:
         params["input"], out_dir = args.paths
     elif len(args.paths) == 1 and params["input"] is not None:
@@ -139,7 +124,7 @@ SOLVE = {
     "ms-bias": lambda x, p: minimize_ms_bias(x, _ms_config(p), p["gamma"], p["init"]),
     "levelset": lambda x, p: segment_levelset(
         x, phases=p["phases"], lambda_tv=p["lambda"], dt=p["dt"], eps_h=p["eps_h"],
-        max_iters=p["max_iters"], rel_tol=p["rel_tol"], seed=p["seed"]),
+        max_iters=p["max_iters"], rel_tol=p["rel_tol"], seed=p["seed"], tv_eps=p["tv_eps"]),
 }
 
 
@@ -203,19 +188,11 @@ def build_parser():
     p_synth.add_argument("out_dir")
 
     p_seg = sub.add_parser("segment", help="segment an image")
-    p_seg.add_argument("--solver", choices=SOLVE)
-    p_seg.add_argument("--classes", type=int)
-    p_seg.add_argument("--phases", type=int)
-    p_seg.add_argument("--lambda", dest="lambda_tv", type=float)
-    p_seg.add_argument("--gamma", type=float)
-    p_seg.add_argument("--eta", type=float)
-    p_seg.add_argument("--dt", type=float)
-    p_seg.add_argument("--eps-h", dest="eps_h", type=float)
-    p_seg.add_argument("--max-iters", dest="max_iters", type=int)
-    p_seg.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p_seg.add_argument("--tv-eps", dest="tv_eps", type=float)
-    p_seg.add_argument("--seed", type=int)
-    p_seg.add_argument("--init", choices=("random", "kmeans"))
+    choices = {"solver": SOLVE, "init": ("random", "kmeans")}
+    for key, default in SEGMENT_DEFAULTS.items():
+        if key != "input":
+            p_seg.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                               choices=choices.get(key))
     p_seg.add_argument("--config", help="run.json from a previous run; flags override")
     p_seg.add_argument("paths", nargs="+", metavar="INPUT OUT_DIR")
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import as_image
-from .softseg import Result, _descend, energy, iterate, sq_residual, weighted_means
+from .softseg import MsConfig, Result, block_descent, energy, sq_residual, weighted_means
 
 # Not called here; bound only so that perfbench/tracing.py's per-module targets resolve.
 from .grid import tv_smooth  # noqa: F401
@@ -60,10 +60,6 @@ class LevelSetState:
         if self.lambda_tv < 0:
             raise ValueError(f"lambda_tv must be >= 0, got {self.lambda_tv}")
 
-    @property
-    def num_classes(self):
-        return 2 ** self.phi.shape[0]
-
 
 def memberships(state):
     """Smoothed characteristic functions of the 2^p classes, shape (N, H, W)."""
@@ -97,6 +93,29 @@ def curvature_central(phi):
     return num / (mag2 ** 1.5 + CURVATURE_GUARD)
 
 
+def _check_cfl(dt, lambda_tv):
+    if dt * lambda_tv > 0.25:
+        raise ValueError(f"dt * lambda_tv = {dt * lambda_tv:g} violates the 0.25 safety bound")
+
+
+def _velocity(x, phi, c, eps_h, lam):
+    """Curvature + region-competition velocity of each level function, shape
+    (p, H, W), for region means c of the 2^p classes."""
+    sq = sq_residual(x, c)
+    if phi.shape[0] == 1:
+        # competition: own-region fit against the complement, c[1] inside
+        force = lam * curvature_central(phi[0]) - (sq[1] - sq[0])
+        return (delta_eps(phi[0], eps_h) * force)[None, :, :]
+    phi1, phi2 = phi[0], phi[1]
+    h1 = heaviside_eps(phi1, eps_h)
+    h2 = heaviside_eps(phi2, eps_h)
+    comp1 = (sq[3] - sq[1]) * h2 + (sq[2] - sq[0]) * (1.0 - h2)
+    comp2 = (sq[3] - sq[2]) * h1 + (sq[1] - sq[0]) * (1.0 - h1)
+    v1 = delta_eps(phi1, eps_h) * (lam * curvature_central(phi1) - comp1)
+    v2 = delta_eps(phi2, eps_h) * (lam * curvature_central(phi2) - comp2)
+    return np.stack([v1, v2])
+
+
 def evolve_step(x, state):
     """One explicit Euler step of the region-competition evolution.
 
@@ -104,27 +123,9 @@ def evolve_step(x, state):
     stay <= 0.25 (CFL-style safety).
     """
     x = as_image(x)
-    if state.dt * state.lambda_tv > 0.25:
-        raise ValueError(
-            f"dt * lambda_tv = {state.dt * state.lambda_tv:g} violates the 0.25 safety bound"
-        )
-    c = region_means(x, state)
-    sq = sq_residual(x, c)
-    lam = state.lambda_tv
-    if state.phi.shape[0] == 1:
-        phi = state.phi[0]
-        # competition: own-region fit against the complement, c[1] inside
-        force = lam * curvature_central(phi) - (sq[1] - sq[0])
-        new_phi = phi + state.dt * delta_eps(phi, state.eps_h) * force
-        return replace(state, phi=new_phi[None, :, :])
-    phi1, phi2 = state.phi[0], state.phi[1]
-    h1 = heaviside_eps(phi1, state.eps_h)
-    h2 = heaviside_eps(phi2, state.eps_h)
-    comp1 = (sq[3] - sq[1]) * h2 + (sq[2] - sq[0]) * (1.0 - h2)
-    comp2 = (sq[3] - sq[2]) * h1 + (sq[1] - sq[0]) * (1.0 - h1)
-    v1 = delta_eps(phi1, state.eps_h) * (lam * curvature_central(phi1) - comp1)
-    v2 = delta_eps(phi2, state.eps_h) * (lam * curvature_central(phi2) - comp2)
-    return replace(state, phi=np.stack([phi1 + state.dt * v1, phi2 + state.dt * v2]))
+    _check_cfl(state.dt, state.lambda_tv)
+    v = _velocity(x, state.phi, region_means(x, state), state.eps_h, state.lambda_tv)
+    return replace(state, phi=state.phi + state.dt * v)
 
 
 def levelset_energy(x, state, tv_eps=1e-8):
@@ -166,39 +167,34 @@ def initial_state(shape, phases, eps_h=1.0, dt=0.5, lambda_tv=0.01, seed=0):
     return LevelSetState(phi=phi, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv)
 
 
-def segment_levelset(
-    x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=500, rel_tol=1e-6, seed=0
-):
+def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=500,
+                     rel_tol=1e-6, seed=0, tv_eps=1e-8):
     """Evolve a seeded sinusoid initialization until the energy settles.
 
-    Each step is an Euler step of trial length dt, halved while the energy
-    rises (softseg._descend), so the trace is non-increasing. Returns a
-    Result with the sign-pattern labels, their plain per-region means and
-    trace rows (energy, data, tv). Unless the relative energy change drops
+    softseg.block_descent over the level functions, with Heaviside memberships
+    and the negated velocity as direction: each step is an Euler step of trial
+    length dt, halved while the energy rises, so the trace is non-increasing.
+    Returns a Result with the sign-pattern labels, their plain per-region means
+    and trace rows (energy, data, tv). Unless the relative energy change drops
     below rel_tol, raises ConvergenceError carrying that Result.
     """
     x = as_image(x)
     if phases not in (1, 2):
         raise ValueError(f"phases must be 1 or 2, got {phases}")
-    state = initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed)
-    terms = levelset_energy(x, state)
+    cfg = MsConfig(num_classes=2 ** phases, lambda_tv=lambda_tv, step_size=dt,
+                   max_iters=max_iters, rel_tol=rel_tol, tv_eps=tv_eps, seed=seed)
+    cfg.validate()
+    _check_cfl(dt, lambda_tv)
 
-    def trial(eta):
-        cand = evolve_step(x, replace(state, dt=eta))
-        return cand, levelset_energy(x, cand)
-
-    def step():
-        nonlocal state, terms
-        cand, cand_terms, exhausted = _descend(trial, dt, terms[0])
-        if exhausted:
-            return None
-        state, terms = cand, cand_terms
-        return terms
-
-    trace, stop = iterate(step, terms, max_iters, rel_tol)
-    labels = hard_labels(state)
-    means = np.zeros((state.num_classes, x.shape[2]))
-    for k in range(state.num_classes):
+    # the initial level functions are passed inline so that no frame keeps them alive
+    (phi, _, _, _), trace, stop = block_descent(
+        x, cfg,
+        initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed).phi,
+        lambda phi: memberships(LevelSetState(phi, eps_h)),
+        lambda phi, y, c, b: -_velocity(x, phi, c, eps_h, lambda_tv))
+    labels = hard_labels(LevelSetState(phi, eps_h))
+    means = np.zeros((cfg.num_classes, x.shape[2]))
+    for k in range(cfg.num_classes):
         sel = labels == k
         if sel.any():
             means[k] = x[sel].mean(axis=0)

@@ -72,7 +72,7 @@ class SoftSegmentation:
     """Logit fields plus the memberships derived from them.
 
     Memberships are always the softmax of the logits; build instances through
-    from_logits so the two can never drift apart.
+    from_logits, or from one block_descent state, so the two never drift apart.
     """
 
     logits: np.ndarray       # (N, H, W)
@@ -359,31 +359,32 @@ def _descend(state_eval, step0, loss_now):
     return None, None, True
 
 
-def block_descent(x, cfg, z, b=None, gamma=0.0):
-    """Block-coordinate descent on the energy from logits z (and bias field b).
+def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0):
+    """Block-coordinate descent on the energy over memberships y = members(u)
+    (and a bias field b).
 
-    Per iteration: a backtracked step on the logits, then, exactly when b is
-    given, one on b clamped to [B_MIN, B_MAX] (see _descend). A block whose
-    backtracking exhausts is skipped; when every block does, the run stops as
-    "stalled". Returns a Result whose labels are the argmax of the memberships.
+    Per iteration: a backtracked step u - eta * direction(u, y, c, b), then,
+    exactly when b is given, one on b clamped to [B_MIN, B_MAX] (see _descend).
+    A block whose backtracking exhausts is skipped; when every block does, the
+    run stops as "stalled". Returns ((u, y, c, b), trace, stop), c the means.
     """
 
-    def evaluate(z, b):
-        seg = SoftSegmentation.from_logits(z)
-        c = weighted_means(x, seg.memberships, b)
-        return (seg, c, b), energy(x, seg.memberships, c, cfg.lambda_tv, cfg.tv_eps, b, gamma)
+    def evaluate(u, b):
+        y = members(u)
+        c = weighted_means(x, y, b)
+        return (u, y, c, b), energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma)
 
-    def logit_block(seg, c, b):
-        g = _chain_softmax(seg.memberships, grad_memberships(x, seg.memberships, c, cfg, b))
-        return lambda eta: evaluate(seg.logits - eta * g, b)
+    def member_block(u, y, c, b):
+        d = direction(u, y, c, b)
+        return lambda eta: evaluate(u - eta * d, b)
 
-    def bias_block(seg, c, b):
-        g = grad_b(x, seg.memberships, b, c, cfg.tv_eps, gamma)
-        return lambda eta: evaluate(seg.logits, np.clip(b - eta * g, B_MIN, B_MAX))
+    def bias_block(u, y, c, b):
+        g = grad_b(x, y, b, c, cfg.tv_eps, gamma)
+        return lambda eta: evaluate(u, np.clip(b - eta * g, B_MIN, B_MAX))
 
-    blocks = (logit_block,) if b is None else (logit_block, bias_block)
-    state, terms = evaluate(z, b)
-    del z, b  # state holds the current arrays; let the initial ones be freed
+    blocks = (member_block,) if b is None else (member_block, bias_block)
+    state, terms = evaluate(u, b)
+    del u, b  # state holds the current arrays; let the initial ones be freed
 
     def step():
         nonlocal state, terms
@@ -395,8 +396,27 @@ def block_descent(x, cfg, z, b=None, gamma=0.0):
         return terms if moved else None
 
     trace, stop = iterate(step, terms, cfg.max_iters, cfg.rel_tol)
-    seg, c, b = state
-    return Result(hard_mask(seg), c, trace, stop, seg, b)
+    return state, trace, stop
+
+
+def _softmax_descent(x, cfg, init, gamma=None):
+    """block_descent over softmax logits from init_logits, plus a bias field
+    started at b = 1 when gamma is given. Returns a Result whose labels are the
+    argmax of the memberships; raises ConvergenceError carrying it when every
+    block stalls."""
+
+    def direction(z, y, c, b):
+        return _chain_softmax(y, grad_memberships(x, y, c, cfg, b))
+
+    # the initial arrays are passed inline so that no frame keeps them alive
+    (z, y, c, b), trace, stop = block_descent(
+        x, cfg, init_logits(x, cfg, init), softmax, direction,
+        None if gamma is None else np.ones(x.shape[:2]), gamma)
+    seg = SoftSegmentation(logits=z, memberships=y)
+    result = Result(hard_mask(seg), c, trace, stop, seg, b)
+    if stop == "stalled":
+        raise ConvergenceError("backtracking exhausted in every block", result)
+    return result
 
 
 def minimize_ms(x, cfg, init="random"):
@@ -409,7 +429,4 @@ def minimize_ms(x, cfg, init="random"):
     """
     x = as_image(x)
     cfg.validate()
-    result = block_descent(x, cfg, init_logits(x, cfg, init))
-    if result.stop == "stalled":
-        raise ConvergenceError("backtracking exhausted without a non-increasing step", result)
-    return result
+    return _softmax_descent(x, cfg, init)

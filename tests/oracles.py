@@ -1,7 +1,9 @@
 """Straight-loop reference implementations used to pin the vectorized code.
 
 Everything here is written with explicit Python loops over pixels and
-classes, independent of the library's numpy formulations.
+classes, independent of the library's numpy formulations. The exception is
+levelset_descent_loop, which pins the level-set solver's iteration to the
+public one-step functions it is built from.
 """
 
 import math
@@ -391,3 +393,40 @@ def kmeans_loop(x, num_classes, seed, iters=20, restarts=8):
         if best is None or sse < best[2]:
             best = (labels, centers, sse)
     return best[0].reshape(x.shape[:2]), best[1]
+
+
+def levelset_descent_loop(x, phases, lambda_tv, dt, eps_h, max_iters, rel_tol, seed=0,
+                          tv_eps=1e-8):
+    """The backtracked level-set evolution, one public evolve_step at a time.
+
+    Each step tries evolve_step at dt, halving the step up to 30 times until
+    levelset_energy does not rise; the run stops when no trial is accepted, when
+    the relative energy change falls below rel_tol, or after max_iters steps.
+    Returns (labels, trace, stop, trials), trials counting every evolve_step call.
+    """
+    from dataclasses import replace
+
+    from msvar.levelset import evolve_step, hard_labels, initial_state, levelset_energy
+
+    state = initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed)
+    trace = [levelset_energy(x, state, tv_eps)]
+    trials, stop = 0, "max_iters"
+    for _ in range(max_iters):
+        eta, accepted = dt, None
+        for _ in range(31):
+            trials += 1
+            cand = evolve_step(x, replace(state, dt=eta))
+            terms = levelset_energy(x, cand, tv_eps)
+            if terms[0] <= trace[-1][0]:
+                accepted = cand
+                break
+            eta *= 0.5
+        if accepted is None:
+            stop = "stalled"
+            break
+        state, prev = accepted, trace[-1][0]
+        trace.append(terms)
+        if abs(prev - terms[0]) < rel_tol * max(abs(prev), 1e-30):
+            stop = "rel_tol"
+            break
+    return hard_labels(state), np.array(trace), stop, trials

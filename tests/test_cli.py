@@ -10,6 +10,7 @@ import pytest
 import msvar
 from msvar import pnm
 from msvar.cli import SOLVE, main
+from msvar.levelset import initial_state, levelset_energy
 
 
 def run(argv):
@@ -154,6 +155,27 @@ def test_segment_edge_case_outputs(tmp_path, solver, case):
         assert np.max(np.abs(np.array(results["centroids"])[:, 0] - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("flag, value", [("--max-iters", 0), ("--rel-tol", -1), ("--tv-eps", 0)])
+@pytest.mark.parametrize("solver", sorted(SOLVE))
+def test_segment_rejects_invalid_solver_settings(tmp_path, solver, flag, value):
+    pnm.save_image(tmp_path / "image.pgm", np.linspace(0.0, 1.0, 64).reshape(8, 8, 1))
+    out = tmp_path / "run"
+    assert run(["segment", "--solver", solver, flag, value, tmp_path / "image.pgm", out]) == 2
+    assert not (out / "mask.pgm").exists()
+
+
+def test_segment_levelset_uses_tv_eps(tmp_path):
+    data = synth(tmp_path)
+    out = tmp_path / "run"
+    code = run(["segment", "--solver", "levelset", "--lambda", 1e-2, "--tv-eps", 1e-2,
+                "--max-iters", 2, data / "image.pgm", out])
+    assert code in (0, 3)
+    x = pnm.load_image(data / "image.pgm")
+    state = initial_state(x.shape[:2], 1, lambda_tv=1e-2)
+    rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[0, 1:].tolist() == list(levelset_energy(x, state, 1e-2))
+
+
 def test_segment_determinism(tmp_path):
     data = synth(tmp_path)
     args = ["segment", "--solver", "ms", "--classes", 2, "--seed", 4,
@@ -173,6 +195,18 @@ def test_segment_run_json_round_trip(tmp_path):
     assert run(["segment", "--config", out1 / "run.json", out2]) == 0
     assert (out1 / "mask.pgm").read_bytes() == (out2 / "mask.pgm").read_bytes()
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+
+def test_segment_records_every_flag_in_run_json(tmp_path):
+    data = synth(tmp_path)
+    flags = {"solver": "ms", "classes": 3, "phases": 2, "lambda": 2e-3, "gamma": 0.25,
+             "eta": 0.25, "dt": 0.25, "eps_h": 1.5, "max_iters": 2, "rel_tol": 1e-5,
+             "tv_eps": 1e-3, "seed": 3, "init": "kmeans"}
+    argv = [a for k, v in flags.items() for a in ("--" + k.replace("_", "-"), v)]
+    assert run(["segment", *argv, data / "image.pgm", tmp_path / "run"]) in (0, 3)
+    stored = json.loads((tmp_path / "run" / "run.json").read_text())
+    assert {k: stored[k] for k in flags} == flags
+    assert [type(stored[k]) for k in flags] == [type(v) for v in flags.values()]
 
 
 def test_segment_config_with_retired_beta_key_loads(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msvar import levelset, softseg
 from msvar.errors import ConvergenceError
 from msvar.grid import tv_smooth
 from msvar.levelset import (
@@ -22,6 +23,7 @@ from oracles import (
     centroids_loop,
     curvature_central_loop,
     heaviside_loop,
+    levelset_descent_loop,
     levelset_velocity_loop,
 )
 
@@ -208,3 +210,45 @@ def test_segment_constant_image():
 def test_segment_rejects_bad_phases():
     with pytest.raises(ValueError):
         segment_levelset(np.zeros((16, 16, 1)), phases=3)
+
+
+# phantom, noise seed, phases, lambda, dt, eps_h, max_iters, rel_tol; dt a power of two
+DESCENT_CASES = {
+    "one-phase": ("two-phase", 0, 1, 1e-2, 0.5, 1.0, 60, 1e-6),
+    "two-phase": ("four-phase", 0, 2, 1e-2, 2.0, 2.0, 60, 1e-6),
+    "rejected-step": ("four-phase", 2, 2, 1e-2, 8.0, 2.0, 40, 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DESCENT_CASES))
+def test_segment_matches_step_by_step_oracle(case):
+    kind, noise_seed, phases, lam, dt, eps_h, max_iters, rel_tol = DESCENT_CASES[case]
+    image, _, _ = make_phantom(kind, 32, 0.05, noise_seed)
+    args = dict(phases=phases, lambda_tv=lam, dt=dt, eps_h=eps_h, max_iters=max_iters,
+                rel_tol=rel_tol)
+    result, converged = run_segment(image, **args)
+    labels, trace, stop, trials = levelset_descent_loop(image, **args)
+    assert np.array_equal(result.labels, labels)
+    assert np.array_equal(result.trace, trace)
+    assert result.stop == stop and converged == (stop == "rel_tol")
+    assert (trials > len(trace) - 1) == (case == "rejected-step")
+
+
+def test_segment_evaluates_each_accepted_step_once(monkeypatch):
+    counts = {"weighted_means": 0, "memberships": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(softseg, "weighted_means")
+    counting(levelset, "memberships")
+    image, _, _ = make_phantom("two-phase", 64, 0.05, 0)
+    result, _ = run_segment(image, phases=1, lambda_tv=1e-2, dt=0.5, max_iters=50, rel_tol=1e-12)
+    assert len(result.trace) == 51  # no step rejected
+    assert counts == {"weighted_means": 51, "memberships": 51}
