@@ -46,30 +46,17 @@ def grad_forward(f):
     f = as_field(f)
     gx = np.zeros_like(f)
     gy = np.zeros_like(f)
-    gx[:, :-1] = f[:, 1:] - f[:, :-1]
-    gy[:-1, :] = f[1:, :] - f[:-1, :]
+    np.subtract(f[:, 1:], f[:, :-1], out=gx[:, :-1])
+    np.subtract(f[1:, :], f[:-1, :], out=gy[:-1, :])
     return gx, gy
 
 
-def div_backward(qx, qy):
-    """Backward-difference divergence, the negative adjoint of grad_forward.
-
-    div(q)(i, j) = qx(i, j) - qx(i, j-1) + qy(i, j) - qy(i-1, j), with the
-    out-of-range terms taken as 0.
-    """
-    div = np.array(qx, dtype=np.float64, copy=True)
-    div[:, 1:] -= qx[:, :-1]
-    div += qy
-    div[1:, :] -= qy[:-1, :]
-    return div
-
-
-def _tv_pointwise(f, eps):
-    """Forward differences (gx, gy) of f and w = sqrt(gx^2 + gy^2 + eps^2)."""
+def _tv_differences(f, eps):
+    """Check eps and return the forward differences (gx, gy) of f, two fresh
+    buffers the TV kernels then overwrite in place."""
     if eps <= 0:
         raise ValueError(f"tv smoothing eps must be positive, got {eps}")
-    gx, gy = grad_forward(f)
-    return gx, gy, np.sqrt(gx * gx + gy * gy + eps * eps)
+    return grad_forward(f)
 
 
 def tv_smooth(f, eps=1e-8):
@@ -78,7 +65,11 @@ def tv_smooth(f, eps=1e-8):
     Returns sum_r sqrt(gx^2 + gy^2 + eps^2) - H*W*eps; the subtraction makes
     the value of a constant field exactly 0.
     """
-    w = _tv_pointwise(f, eps)[2]
+    w, gy = _tv_differences(f, eps)
+    w *= w
+    w += np.multiply(gy, gy, out=gy)
+    w += eps * eps
+    np.sqrt(w, out=w)
     return float(np.sum(w) - w.size * eps)
 
 
@@ -86,7 +77,20 @@ def tv_smooth_grad(f, eps=1e-8):
     """Exact gradient of tv_smooth with respect to the field values.
 
     Divergence-form adjoint of the forward-difference stencil:
-    grad = -div(gx/w, gy/w) with w = sqrt(gx^2 + gy^2 + eps^2).
+    grad = -div(gx/w, gy/w) with w = sqrt(gx^2 + gy^2 + eps^2) and the
+    backward-difference divergence div(q)(i, j) = qx(i, j) - qx(i, j-1)
+    + qy(i, j) - qy(i-1, j), out-of-range terms taken as 0.
     """
-    gx, gy, w = _tv_pointwise(f, eps)
-    return -div_backward(gx / w, gy / w)
+    gx, gy = _tv_differences(f, eps)
+    out = np.multiply(gy, gy)  # the returned buffer; holds gy^2 until w is formed
+    w = np.multiply(gx, gx)
+    w += out
+    w += eps * eps
+    np.sqrt(w, out=w)
+    gx /= w
+    gy /= w
+    out[...] = gx
+    out[:, 1:] -= gx[:, :-1]
+    out += gy
+    out[1:, :] -= gy[:-1, :]
+    return np.negative(out, out=out)

@@ -11,6 +11,11 @@ centroid refreshes with gradient steps on the logits.
 
 The bias and level-set solvers minimise the same energy (fit b(r) c_n,
 Heaviside memberships); it and the one iteration driver, iterate, live here.
+
+The kernels on the descent path work in place and one class (and channel) at
+a time: they allocate what they return and at most a few (H, W) planes, never
+an (N, H, W, C) residual, and leave their inputs unchanged (_chain_softmax
+alone overwrites the gradient it is given).
 """
 
 from dataclasses import dataclass
@@ -62,9 +67,10 @@ def softmax(logits):
         raise ValueError(f"expected (N, H, W) logits with N >= 2, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("logits contain non-finite values")
-    shifted = z - z.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    e = z - z.max(axis=0, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
 @dataclass(frozen=True)
@@ -129,23 +135,39 @@ def soft_centroids(x, memberships):
     return weighted_means(as_image(x), memberships)
 
 
-def residual(x, c, b=None):
-    """Fit residual x(r) - b(r) c_n per channel, shape (N, H, W, C); b = None is b = 1."""
-    fitted = c[:, None, None, :] if b is None else b[None, :, :, None] * c[:, None, None, :]
-    return x[None, :, :, :] - fitted
+def _residual_sums(x, c, b=None, weights=None):
+    """sum_ch w_n,ch (x_ch(r) - b(r) c_n,ch) per class, shape (N, H, W); with
+    weights None the residual is squared instead (w = the residual itself).
+    b = None is b = 1. Built one (H, W) plane at a time, channel by channel."""
+    out = np.empty(c.shape[:1] + x.shape[:2])
+    plane = np.empty(x.shape[:2]) if c.shape[1] > 1 else None
+    for n in range(c.shape[0]):
+        for ch in range(c.shape[1]):
+            r = plane if ch else out[n]
+            if b is None:
+                np.subtract(x[:, :, ch], c[n, ch], out=r)
+            else:
+                np.subtract(x[:, :, ch], np.multiply(b, c[n, ch], out=r), out=r)
+            r *= r if weights is None else weights[n, ch]
+            if ch:
+                out[n] += r
+    return out
 
 
 def sq_residual(x, c, b=None):
     """||x(r) - b(r) c_n||^2 summed over channels, shape (N, H, W)."""
-    diff = residual(x, c, b)
-    return np.einsum("nijc,nijc->nij", diff, diff)
+    return _residual_sums(x, c, b)
 
 
-def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0):
+def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0, tv_y=None):
     """sum_n sum_r ||x - b c_n||^2 y_n + lambda_tv sum_n TV(y_n) [+ gamma TV(b)]
-    as (loss, data, tv_y), with tv_b appended when b is given."""
-    data = float(np.sum(sq_residual(x, c, b) * y))
-    tv_y = lambda_tv * sum(tv_smooth(y[n], tv_eps) for n in range(y.shape[0]))
+    as (loss, data, tv_y), with tv_b appended when b is given. A known
+    lambda_tv sum_n TV(y_n) may be passed as tv_y; it is then not recomputed."""
+    sq = sq_residual(x, c, b)
+    data = float(np.sum(np.multiply(sq, y, out=sq)))
+    del sq
+    if tv_y is None:
+        tv_y = lambda_tv * sum(tv_smooth(y[n], tv_eps) for n in range(y.shape[0]))
     if b is None:
         return data + tv_y, data, tv_y
     tv_b = gamma * tv_smooth(b, tv_eps)
@@ -163,21 +185,25 @@ def ms_loss(x, seg, cfg):
 
 
 def _chain_softmax(y, grad_y):
-    """Pull a gradient w.r.t. memberships back through the softmax Jacobian."""
-    inner = np.sum(grad_y * y, axis=0, keepdims=True)
-    return y * (grad_y - inner)
-
-
-def _tv_grads(y, tv_eps):
-    """Per-class gradient of TV(y_n), shape (N, H, W)."""
-    return np.stack([tv_smooth_grad(y[n], tv_eps) for n in range(y.shape[0])])
+    """Pull a gradient w.r.t. memberships back through the softmax Jacobian,
+    y_n (g_n - sum_m g_m y_m), computed in (and returned as) grad_y."""
+    inner = grad_y[0] * y[0]
+    plane = np.empty_like(inner)
+    for n in range(1, y.shape[0]):
+        inner += np.multiply(grad_y[n], y[n], out=plane)
+    grad_y -= inner
+    grad_y *= y
+    return grad_y
 
 
 def grad_memberships(x, y, c, cfg, b=None):
     """Gradient of the energy in the memberships, class means (and b) frozen."""
     g = sq_residual(x, c, b)
     if cfg.lambda_tv != 0.0:
-        g = g + cfg.lambda_tv * _tv_grads(y, cfg.tv_eps)
+        for n in range(y.shape[0]):
+            tv_grad = tv_smooth_grad(y[n], cfg.tv_eps)
+            tv_grad *= cfg.lambda_tv
+            g[n] += tv_grad
     return g
 
 
@@ -187,7 +213,8 @@ def grad_b(x, y, b, c, tv_eps, gamma):
     d data / d b(r) = -2 sum_n y_n(r) sum_ch c_n,ch (x_ch(r) - b(r) c_n,ch),
     plus the TV-of-b adjoint weighted by gamma.
     """
-    data_grad = -2.0 * np.sum(y * np.einsum("nc,nijc->nij", c, residual(x, c, b)), axis=0)
+    fit = _residual_sums(x, c, b, c)
+    data_grad = -2.0 * np.sum(np.multiply(y, fit, out=fit), axis=0)
     return data_grad + gamma * tv_smooth_grad(b, tv_eps)
 
 
@@ -212,7 +239,7 @@ def ms_loss_grad(x, seg, cfg, mode="frozen-centroids"):
         resid = np.tensordot(y, x, axes=([1, 2], [0, 1])) - c * sum_y[:, None]  # (N, C)
         coeff = -2.0 * resid / (sum_y + EPS_DEN)[:, None]
         # dc_n/dy_n(r) = (x(r) - c_n) / (sum y_n + EPS_DEN), applied per channel
-        grad_y = grad_y + np.einsum("nc,nijc->nij", coeff, residual(x, c))
+        grad_y += _residual_sums(x, c, weights=coeff)
     return _chain_softmax(y, grad_y)
 
 
@@ -239,7 +266,7 @@ def fixed_point_step(x, seg, cfg, centroids=None):
     # (-1)^{delta(n,i)}: -1 for the own class, +1 for every competitor
     competition = sq.sum(axis=0, keepdims=True) - 2.0 * sq
     # div(grad y_n / |grad y_n|) is the negative TV gradient
-    curvature = -cfg.lambda_tv * _tv_grads(y, cfg.tv_eps)
+    curvature = -cfg.lambda_tv * np.stack([tv_smooth_grad(yn, cfg.tv_eps) for yn in y])
     velocity = curvature + competition
     info = {"curvature_term": curvature, "data_term": competition, "velocity": velocity}
     return y + cfg.step_size * velocity, info
@@ -279,6 +306,28 @@ def _kmeans_once(vals, weights, inverse, num_classes, rng, iters):
     return labels, centers, sse
 
 
+def _distinct_rows(pts):
+    """np.unique(pts, axis=0, return_inverse=True, return_counts=True) of a
+    (P, C) array, through 1-D uniques only (unique on rows sorts a void dtype).
+
+    Each channel is ranked on its own and folded into an int64 key that orders
+    the rows lexicographically; from the third channel on the key is re-ranked
+    before each fold, so it stays below P times the channel's distinct values.
+    """
+    if pts.shape[1] == 1:
+        vals, inverse, counts = np.unique(pts[:, 0], return_inverse=True, return_counts=True)
+        return vals[:, None], inverse, counts
+    key = np.zeros(len(pts), dtype=np.int64)
+    for ch in range(pts.shape[1]):
+        codes, rank = np.unique(pts[:, ch], return_inverse=True)
+        if ch > 1:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * len(codes) + rank
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    return pts[first], inverse, counts
+
+
 def kmeans_labels(x, num_classes, seed, iters=20, restarts=8):
     """Lloyd's algorithm on pixel values, best of several seeded restarts.
 
@@ -289,11 +338,7 @@ def kmeans_labels(x, num_classes, seed, iters=20, restarts=8):
     their previous center.
     """
     x = as_image(x)
-    pts = x.reshape(-1, x.shape[2])
-    # one channel is uniqued as a 1-D float array: on (P, 1) rows unique sorts a void dtype
-    flat = pts[:, 0] if pts.shape[1] == 1 else pts
-    vals, inverse, counts = np.unique(flat, axis=0, return_inverse=True, return_counts=True)
-    vals, inverse = vals.reshape(len(counts), -1), inverse.reshape(-1)
+    vals, inverse, counts = _distinct_rows(x.reshape(-1, x.shape[2]))
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
@@ -369,18 +414,26 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0):
     run stops as "stalled". Returns ((u, y, c, b), trace, stop), c the means.
     """
 
-    def evaluate(u, b):
-        y = members(u)
+    def evaluate(u, b, y=None, tv_y=None):
+        # a trial that leaves u unchanged passes its y and lambda sum_n TV(y_n)
+        if y is None:
+            y = members(u)
         c = weighted_means(x, y, b)
-        return (u, y, c, b), energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma)
+        return (u, y, c, b), energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y)
 
     def member_block(u, y, c, b):
         d = direction(u, y, c, b)
-        return lambda eta: evaluate(u - eta * d, b)
+
+        def trial(eta):
+            cand = np.multiply(d, eta)
+            return evaluate(np.subtract(u, cand, out=cand), b)
+
+        return trial
 
     def bias_block(u, y, c, b):
         g = grad_b(x, y, b, c, cfg.tv_eps, gamma)
-        return lambda eta: evaluate(u, np.clip(b - eta * g, B_MIN, B_MAX))
+        tv_y = terms[2]
+        return lambda eta: evaluate(u, np.clip(b - eta * g, B_MIN, B_MAX), y, tv_y)
 
     blocks = (member_block,) if b is None else (member_block, bias_block)
     state, terms = evaluate(u, b)

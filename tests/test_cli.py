@@ -132,15 +132,13 @@ EDGE_IMAGES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(EDGE_IMAGES))
-@pytest.mark.parametrize("solver", sorted(SOLVE))
-def test_segment_edge_case_outputs(tmp_path, solver, case):
+def _segment_edge_case(tmp_path, solver, case, *flags):
     image, classes, phases = EDGE_IMAGES[case]
     n = 2 ** phases if solver == "levelset" else classes
     pnm.save_image(tmp_path / "image.pgm", image)
     out = tmp_path / "run"
     code = run(["segment", "--solver", solver, "--classes", classes, "--phases", phases,
-                "--max-iters", 50, tmp_path / "image.pgm", out])
+                "--max-iters", 50, *flags, tmp_path / "image.pgm", out])
     assert code in (0, 3)
     mask = pnm.load_labelmap(out / "mask.pgm")
     assert mask.shape == image.shape[:2] and mask.max() < n
@@ -153,6 +151,22 @@ def test_segment_edge_case_outputs(tmp_path, solver, case):
         x = pnm.load_image(tmp_path / "image.pgm")[:, :, 0]
         want = [x[mask == k].mean() if np.any(mask == k) else 0.0 for k in range(n)]
         assert np.max(np.abs(np.array(results["centroids"])[:, 0] - want)) <= 1e-12
+    assert np.all(np.isfinite(results["centroids"]))
+    # exit 0 unless the solver raised: levelset unless it settled, ms and ms-bias when stalled
+    fails = ("max_iters", "stalled") if solver == "levelset" else ("stalled",)
+    assert results["converged"] == (code == 0) == (results["stop"] not in fails)
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_IMAGES))
+@pytest.mark.parametrize("solver", sorted(SOLVE))
+def test_segment_edge_case_outputs(tmp_path, solver, case):
+    _segment_edge_case(tmp_path, solver, case)
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_IMAGES))
+@pytest.mark.parametrize("solver", ["ms", "ms-bias"])
+def test_segment_kmeans_edge_case_outputs(tmp_path, solver, case):
+    _segment_edge_case(tmp_path, solver, case, "--init", "kmeans")
 
 
 @pytest.mark.parametrize("flag, value", [("--max-iters", 0), ("--rel-tol", -1), ("--tv-eps", 0)])

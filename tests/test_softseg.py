@@ -1,17 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from msvar import softseg
-from msvar.bias import minimize_ms_bias
+from msvar.bias import bias_loss_grad_b, minimize_ms_bias
 from msvar.errors import ConvergenceError
+from msvar.grid import tv_smooth, tv_smooth_grad
 from msvar.levelset import segment_levelset
 from msvar.phantoms import make_phantom
 from msvar.softseg import (
     MsConfig,
     Result,
     SoftSegmentation,
+    energy,
     fixed_point_step,
+    grad_b,
+    grad_memberships,
     hard_mask,
+    init_logits,
     iterate,
     kmeans_labels,
     minimize_ms,
@@ -19,6 +26,7 @@ from msvar.softseg import (
     ms_loss_grad,
     soft_centroids,
     softmax,
+    sq_residual,
 )
 
 from oracles import (
@@ -445,6 +453,15 @@ def _uniform(shape):
     return np.random.default_rng(7).random(shape)
 
 
+@pytest.mark.parametrize("shape, levels", [((24, 20, 3), 3), ((40, 33, 3), 255), ((9, 7, 2), 5)])
+def test_distinct_rows_match_unique_on_rows(shape, levels):
+    pts = (np.round(_uniform(shape) * levels) / levels).reshape(-1, shape[2])
+    want = np.unique(pts, axis=0, return_inverse=True, return_counts=True)
+    got = softseg._distinct_rows(pts)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("x,num_classes", [
     pytest.param(np.round(_uniform((24, 20, 3)) * 3) / 3, 3, id="rgb-quantised"),
     pytest.param(_uniform((20, 30)), 4, id="all-distinct"),
@@ -475,3 +492,113 @@ def test_every_solver_returns_one_record(solve, soft, biased):
     assert (result.seg is not None) == soft and (result.bias is not None) == biased
     if soft:
         assert np.array_equal(result.labels, hard_mask(result.seg))
+
+
+# ------------------------------------------------- in-place kernels and memory
+
+@pytest.mark.parametrize("biased", [False, True], ids=["no-bias", "bias"])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_kernels_leave_their_inputs_unchanged(channels, biased):
+    rng = np.random.default_rng(23)
+    x = rng.random((7, 9, channels))
+    z = rng.uniform(-2.0, 2.0, (3, 7, 9))
+    seg = SoftSegmentation.from_logits(z)
+    y = seg.memberships
+    c = rng.random((3, channels))
+    b = rng.uniform(0.5, 1.5, (7, 9)) if biased else None
+    cfg = MsConfig(num_classes=3, lambda_tv=0.1, tv_eps=1e-2)
+    calls = {
+        "softmax": lambda: softmax(z),
+        "tv_smooth": lambda: tv_smooth(y[0], 1e-2),
+        "tv_smooth_grad": lambda: tv_smooth_grad(y[1], 1e-2),
+        "sq_residual": lambda: sq_residual(x, c, b),
+        "energy": lambda: energy(x, y, c, 0.1, 1e-2, b, 0.5),
+        "grad_memberships": lambda: grad_memberships(x, y, c, cfg, b),
+        "ms_loss_grad-frozen": lambda: ms_loss_grad(x, seg, cfg, "frozen-centroids"),
+        "ms_loss_grad-full": lambda: ms_loss_grad(x, seg, cfg, "full"),
+        "fixed_point_step": lambda: fixed_point_step(x, seg, cfg),
+        "fixed_point_step-centroids": lambda: fixed_point_step(x, seg, cfg, centroids=c),
+    }
+    inputs = {"x": x, "z": z, "y": y, "c": c}
+    if biased:
+        inputs["b"] = b
+        calls.update({
+            "tv_smooth-b": lambda: tv_smooth(b, 1e-2),
+            "tv_smooth_grad-b": lambda: tv_smooth_grad(b, 1e-2),
+            "grad_b": lambda: grad_b(x, y, b, c, 1e-2, 0.5),
+            "bias_loss_grad_b": lambda: bias_loss_grad_b(x, y, b, c, cfg, 0.5),
+        })
+    before = {name: a.tobytes() for name, a in inputs.items()}
+    for call_name, call in calls.items():
+        call()
+        changed = [name for name, a in inputs.items() if a.tobytes() != before[name]]
+        assert not changed, f"{call_name} wrote into {changed}"
+
+
+def test_minimize_ms_peak_memory_in_membership_stacks():
+    # the descent holds the logits, the memberships, the step direction and
+    # one trial's logits and memberships, and evaluates the trial's data term
+    # in one more stack: about 6 stacks of shape (N, H, W); 7.5 before the
+    # kernels worked in place
+    size, classes = 256, 2
+    image, _, _ = make_phantom("two-phase", size, 0.05, 0)
+    image = np.round(np.clip(image, 0.0, 1.0) * 255) / 255  # as read from a PGM
+    stack = classes * size * size * np.dtype(np.float64).itemsize
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        minimize_ms(image, MsConfig(num_classes=classes, max_iters=5), init="kmeans")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 6.75 * stack, f"traced peak {peak / stack:.2f} stacks"
+
+
+def test_bias_trials_reuse_the_memberships(monkeypatch):
+    softmax_calls, trials = [], []
+    real_softmax, real_descend = softseg.softmax, softseg._descend
+
+    def counting_softmax(z):
+        softmax_calls.append(1)
+        return real_softmax(z)
+
+    def counting_descend(state_eval, step0, loss_now):
+        count = [0]
+
+        def counted(eta):
+            count[0] += 1
+            return state_eval(eta)
+
+        result = real_descend(counted, step0, loss_now)
+        trials.append(count[0])
+        return result
+
+    monkeypatch.setattr(softseg, "softmax", counting_softmax)
+    monkeypatch.setattr(softseg, "_descend", counting_descend)
+    image, _, _ = make_phantom("ramp-bias", 32, 0.02, 0)
+    cfg = MsConfig(num_classes=2, step_size=2.0, max_iters=15, tv_eps=1e-2)
+    result = minimize_ms_bias(image, cfg, 0.1, init="kmeans")
+    member, bias = trials[0::2], trials[1::2]  # each iteration runs both blocks, logits first
+    assert len(member) == len(bias) == len(result.trace) - 1
+    assert sum(bias) > len(bias)  # the bias block backtracked
+    assert len(softmax_calls) == 1 + sum(member)  # the start, then one per logit trial
+
+
+def test_minimize_ms_keeps_a_class_empty_at_the_start_finite():
+    x = np.where(np.arange(64).reshape(8, 8) % 3 == 0, 0.2, 0.8)
+    cfg = MsConfig(num_classes=4, max_iters=50)
+    start = np.argmax(init_logits(x, cfg, "kmeans"), axis=0)
+    assert len(np.unique(start)) < cfg.num_classes  # some class owns no pixel
+    try:
+        result = minimize_ms(x, cfg, init="kmeans")
+        assert result.stop in ("rel_tol", "max_iters")
+    except ConvergenceError as err:
+        result = err.result
+        assert result.stop == "stalled"
+    assert result.centroids.shape == (4, 1) and np.all(np.isfinite(result.centroids))
+    assert np.all(np.isfinite(result.trace)) and np.all(np.diff(result.trace[:, 0]) <= 0)
+    assert np.array_equal(result.labels, hard_mask(result.seg))
