@@ -18,7 +18,6 @@ from dataclasses import replace
 import numpy as np
 
 from .grid import as_image
-from .softseg import B_MAX, B_MIN  # noqa: F401  (the clamp range of b, re-exported)
 from .softseg import _softmax_descent, energy, grad_b, weighted_means
 
 # Not called here; bound only so that perfbench/tracing.py's per-module targets resolve.

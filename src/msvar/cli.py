@@ -90,11 +90,22 @@ def cmd_synth(args):
     return EXIT_OK
 
 
+def _config_value(key, value):
+    # a stored value has its flag's type (input: a path string); float flags
+    # take ints as well, and no flag takes a bool
+    kind = str if key == "input" else type(SEGMENT_DEFAULTS[key])
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _resolve_segment_params(args):
     params = dict(SEGMENT_DEFAULTS)
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
-        params.update({k: loaded[k] for k in SEGMENT_DEFAULTS if k in loaded})
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
+        params.update({k: _config_value(k, loaded[k]) for k in SEGMENT_DEFAULTS if k in loaded})
     params.update({k: v for k, v in vars(args).items() if k in SEGMENT_DEFAULTS and v is not None})
     if len(args.paths) == 2:
         params["input"], out_dir = args.paths
@@ -164,8 +175,6 @@ def cmd_segment(args):
 def cmd_eval(args):
     pred = pnm.load_labelmap(args.pred)
     gt = pnm.load_labelmap(args.gt)
-    if pred.shape != gt.shape:
-        raise ValueError(f"dimension mismatch: pred {pred.shape} vs gt {gt.shape}")
     rc, pri, vi = clustering_metrics(pred, gt)
     if args.positive_class is not None:
         overlap = [repr(v) for v in overlap_metrics(pred, gt, args.positive_class)]

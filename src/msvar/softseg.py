@@ -89,10 +89,6 @@ class SoftSegmentation:
         y = softmax(logits)
         return cls(logits=np.asarray(logits, dtype=np.float64), memberships=y)
 
-    @property
-    def num_classes(self):
-        return self.logits.shape[0]
-
 
 @dataclass(frozen=True)
 class Result:
@@ -277,12 +273,18 @@ def hard_mask(seg):
     return np.argmax(seg.memberships, axis=0)
 
 
-def _kmeans_once(vals, weights, inverse, num_classes, rng, iters):
+# Lloyd sweeps per k-means restart, and seeded restarts per kmeans_labels call.
+KMEANS_ITERS, KMEANS_RESTARTS = 20, 8
+
+
+def _kmeans_once(vals, weights, inverse, num_classes, rng):
     # k-means++ style seeding over pixels (the same draws as a per-pixel k-means),
-    # then count-weighted Lloyd iterations over the distinct values
+    # then count-weighted Lloyd sweeps over the distinct values; every distance
+    # is sq_residual's, with the P values as a (P, 1, C) image
+    pts = vals[:, None, :]
     centers = np.empty((num_classes, vals.shape[1]))
     centers[0] = vals[inverse[rng.integers(len(inverse))]]
-    d2 = np.sum((vals - centers[0]) ** 2, axis=1)
+    d2 = sq_residual(pts, centers[:1])[0, :, 0]
     for k in range(1, num_classes):
         d2_pix = d2[inverse]
         total = d2_pix.sum()
@@ -291,18 +293,18 @@ def _kmeans_once(vals, weights, inverse, num_classes, rng, iters):
         else:
             idx = rng.integers(len(inverse))
         centers[k] = vals[inverse[idx]]
-        d2 = np.minimum(d2, np.sum((vals - centers[k]) ** 2, axis=1))
-    for _ in range(iters):
-        dists = ((vals[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(dists, axis=1)
+        d2 = np.minimum(d2, sq_residual(pts, centers[k:k + 1])[0, :, 0])
+    for sweep in range(KMEANS_ITERS + 1):
+        dists = sq_residual(pts, centers)[:, :, 0]
+        labels = np.argmin(dists, axis=0)
+        if sweep == KMEANS_ITERS:
+            break
         for k in range(num_classes):
             sel = labels == k
             if sel.any():
                 centers[k] = np.average(vals[sel], axis=0, weights=weights[sel])
-    dists = ((vals[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(dists, axis=1)
     # pixel-level SSE, summed in pixel order, so restart ties resolve as per pixel
-    sse = float(dists.min(axis=1)[inverse].sum())
+    sse = float(dists.min(axis=0)[inverse].sum())
     return labels, centers, sse
 
 
@@ -328,8 +330,9 @@ def _distinct_rows(pts):
     return pts[first], inverse, counts
 
 
-def kmeans_labels(x, num_classes, seed, iters=20, restarts=8):
-    """Lloyd's algorithm on pixel values, best of several seeded restarts.
+def kmeans_labels(x, num_classes, seed):
+    """Lloyd's algorithm on pixel values: the best of KMEANS_RESTARTS seeded
+    restarts of KMEANS_ITERS sweeps each.
 
     Clusters the distinct values weighted by their pixel counts, which gives
     the labels of the same algorithm run on every pixel (centers agree up to
@@ -341,8 +344,8 @@ def kmeans_labels(x, num_classes, seed, iters=20, restarts=8):
     vals, inverse, counts = _distinct_rows(x.reshape(-1, x.shape[2]))
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
-        labels, centers, sse = _kmeans_once(vals, counts, inverse, num_classes, rng, iters)
+    for _ in range(KMEANS_RESTARTS):
+        labels, centers, sse = _kmeans_once(vals, counts, inverse, num_classes, rng)
         if best is None or sse < best[2]:
             best = (labels, centers, sse)
     return best[0][inverse].reshape(x.shape[:2]), best[1]

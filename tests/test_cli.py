@@ -238,6 +238,26 @@ def test_segment_config_with_retired_beta_key_loads(tmp_path):
     assert "beta" not in json.loads((out2 / "run.json").read_text())
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"classes": "4"}, "classes"),
+    ({"classes": 2.5}, "classes"),
+    ({"max_iters": True}, "max_iters"),
+    ({"lambda": True}, "lambda"),
+    ({"input": 123456789}, "input"),  # an int would be opened as a file descriptor
+    ("classes", "JSON object"),
+    (5, "JSON object"),
+    ([1, 2], "JSON object"),
+])
+def test_segment_rejects_mistyped_config_values(tmp_path, capsys, config, key):
+    data = synth(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    paths = [out] if key == "input" else [data / "image.pgm", out]
+    assert run(["segment", "--config", tmp_path / "bad.json", *paths]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_segment_missing_input_exits_2(tmp_path):
     assert run(["segment", tmp_path / "nope.pgm", tmp_path / "out"]) == 2
 

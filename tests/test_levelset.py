@@ -26,6 +26,7 @@ from oracles import (
     levelset_descent_loop,
     levelset_velocity_loop,
 )
+from test_cli import EDGE_IMAGES
 
 
 def iou_binary(pred, gt):
@@ -205,6 +206,20 @@ def test_segment_constant_image():
     labels, trace = result.labels, result.trace
     assert np.all(np.diff(trace[:, 0]) <= 1e-6)
     assert len(np.unique(labels)) == 1
+
+
+@pytest.mark.parametrize("dt", [0.5, 2.0])
+@pytest.mark.parametrize("phases", [1, 2])
+@pytest.mark.parametrize("case", sorted(EDGE_IMAGES))
+def test_segment_edge_images_keep_the_stop_contract(case, phases, dt):
+    # at the CLI's lambda these runs end in all three stop reasons
+    image = EDGE_IMAGES[case][0]
+    result, converged = run_segment(image, phases=phases, lambda_tv=1e-3, dt=dt)
+    assert result.labels.shape == image.shape[:2]
+    assert 0 <= result.labels.min() and result.labels.max() < 2 ** phases
+    assert result.centroids.shape == (2 ** phases, 1)
+    assert np.all(np.isfinite(result.centroids)) and np.all(np.isfinite(result.trace))
+    assert converged == (result.stop == "rel_tol")
 
 
 def test_segment_rejects_bad_phases():

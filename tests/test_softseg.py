@@ -535,14 +535,17 @@ def test_kernels_leave_their_inputs_unchanged(channels, biased):
         assert not changed, f"{call_name} wrote into {changed}"
 
 
-def test_minimize_ms_peak_memory_in_membership_stacks():
+@pytest.mark.parametrize("quantised", [True, False], ids=["pgm", "float"])
+def test_minimize_ms_peak_memory_in_membership_stacks(quantised):
     # the descent holds the logits, the memberships, the step direction and
     # one trial's logits and memberships, and evaluates the trial's data term
     # in one more stack: about 6 stacks of shape (N, H, W); 7.5 before the
-    # kernels worked in place
+    # kernels worked in place. On unquantised input k-means clusters every
+    # pixel value; its temporaries must fit under the same bound.
     size, classes = 256, 2
     image, _, _ = make_phantom("two-phase", size, 0.05, 0)
-    image = np.round(np.clip(image, 0.0, 1.0) * 255) / 255  # as read from a PGM
+    if quantised:
+        image = np.round(np.clip(image, 0.0, 1.0) * 255) / 255  # as read from a PGM
     stack = classes * size * size * np.dtype(np.float64).itemsize
     tracing = tracemalloc.is_tracing()
     if not tracing:
