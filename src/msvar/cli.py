@@ -113,8 +113,9 @@ def _resolve_segment_params(args):
         out_dir = args.paths[0]
     else:
         raise UsageError("expected INPUT OUT_DIR (or --config with a stored input and OUT_DIR)")
-    if params["solver"] not in SOLVE:
-        raise UsageError(f"unknown solver {params['solver']!r}")
+    for key, allowed in CHOICES.items():
+        if params[key] not in allowed:
+            raise UsageError(f"unknown {key} {params[key]!r}")
     return params, Path(out_dir)
 
 
@@ -138,11 +139,14 @@ SOLVE = {
         max_iters=p["max_iters"], rel_tol=p["rel_tol"], seed=p["seed"], tv_eps=p["tv_eps"]),
 }
 
+# Keys whose flag takes only these values; a --config value outside them is a
+# usage error like the flag's.
+CHOICES = {"solver": SOLVE, "init": ("random", "kmeans")}
+
 
 def cmd_segment(args):
     params, out = _resolve_segment_params(args)
     image = pnm.load_image(params["input"])
-    out.mkdir(parents=True, exist_ok=True)
 
     converged = True
     try:
@@ -150,6 +154,8 @@ def cmd_segment(args):
     except ConvergenceError as err:
         result, converged = err.result, False
 
+    # created only now, so a run rejected at validation leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
     trace = result.trace
     pnm.save_labelmap(out / "mask.pgm", result.labels)
     _write_trace(out / "trace.csv", trace)
@@ -197,11 +203,10 @@ def build_parser():
     p_synth.add_argument("out_dir")
 
     p_seg = sub.add_parser("segment", help="segment an image")
-    choices = {"solver": SOLVE, "init": ("random", "kmeans")}
     for key, default in SEGMENT_DEFAULTS.items():
         if key != "input":
             p_seg.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                               choices=choices.get(key))
+                               choices=CHOICES.get(key))
     p_seg.add_argument("--config", help="run.json from a previous run; flags override")
     p_seg.add_argument("paths", nargs="+", metavar="INPUT OUT_DIR")
 

@@ -51,26 +51,65 @@ def grad_forward(f):
     return gx, gy
 
 
-def _tv_differences(f, eps):
-    """Check eps and return the forward differences (gx, gy) of f, two fresh
-    buffers the TV kernels then overwrite in place."""
-    if eps <= 0:
-        raise ValueError(f"tv smoothing eps must be positive, got {eps}")
-    return grad_forward(f)
+# Elements per row strip of the TV kernel (whole rows, at least one); its three
+# strip buffers take 384 KiB and stay in a 2 MiB L2 cache. Measured in
+# minimize_ms: 8192 spends about 15 % more per call at 256^2 and 1024^2 (more
+# strips, each with a fixed cost); 32768 is faster at 1024^2 but lifts the
+# traced peak of a 256^2 run from 6.6 to 7.0 (N, H, W) stacks.
+STRIP = 16384
 
 
-def tv_smooth(f, eps=1e-8):
+def tv_smooth(f, eps=1e-8, grad_out=None, scale=1.0):
     """Smoothed isotropic total variation of a scalar field.
 
     Returns sum_r sqrt(gx^2 + gy^2 + eps^2) - H*W*eps; the subtraction makes
-    the value of a constant field exactly 0.
+    the value of a constant field exactly 0. Given an (H, W) grad_out, it also
+    adds scale * tv_smooth_grad(f, eps) into it, from the same differences.
+
+    The field is processed in row strips of about STRIP elements, so every
+    temporary is strip-sized; the divergence of a strip's first row takes
+    the last row of the strip above (a one-row halo).
     """
-    w, gy = _tv_differences(f, eps)
-    w *= w
-    w += np.multiply(gy, gy, out=gy)
-    w += eps * eps
-    np.sqrt(w, out=w)
-    return float(np.sum(w) - w.size * eps)
+    if eps <= 0:
+        raise ValueError(f"tv smoothing eps must be positive, got {eps}")
+    f = as_field(f)
+    h, w = f.shape
+    rows = max(1, STRIP // max(w, 1))
+    gx = np.zeros((min(rows, h), w))  # its last column stays 0
+    gy, mag = np.empty_like(gx), np.empty_like(gx)
+    halo = np.zeros(w)  # qy of the row above the strip
+    total = 0.0
+    for i0 in range(0, h, rows):
+        i1 = min(i0 + rows, h)
+        sx, sy, m = gx[: i1 - i0], gy[: i1 - i0], mag[: i1 - i0]
+        # forward differences, 0 in the last column and in the field's last row
+        np.subtract(f[i0:i1, 1:], f[i0:i1, :-1], out=sx[:, :-1])
+        inner = min(i1, h - 1) - i0
+        np.subtract(f[i0 + 1 : i1 + 1], f[i0 : i0 + inner], out=sy[:inner])
+        if i1 == h:
+            sy[inner:] = 0.0
+        np.multiply(sy, sy, out=m)
+        sx *= sx
+        m += sx  # gy^2 + gx^2 rounds exactly as gx^2 + gy^2
+        m += eps * eps
+        total += float(np.sqrt(m, out=m).sum())
+        if grad_out is None:
+            continue
+        # grad = -div(gx/w, gy/w) with w the smoothed magnitude and div the
+        # backward-difference divergence, out-of-range terms taken as 0;
+        # gx is taken again (sx holds its square) and -div is formed in m
+        np.subtract(f[i0:i1, 1:], f[i0:i1, :-1], out=sx[:, :-1])
+        sx /= m
+        sy /= m
+        m[...] = sx
+        m[:, 1:] -= sx[:, :-1]
+        m += sy
+        m[1:] -= sy[:-1]
+        m[0] -= halo
+        halo[...] = sy[-1]
+        m *= -scale
+        grad_out[i0:i1] += m
+    return total - h * w * eps
 
 
 def tv_smooth_grad(f, eps=1e-8):
@@ -81,16 +120,6 @@ def tv_smooth_grad(f, eps=1e-8):
     backward-difference divergence div(q)(i, j) = qx(i, j) - qx(i, j-1)
     + qy(i, j) - qy(i-1, j), out-of-range terms taken as 0.
     """
-    gx, gy = _tv_differences(f, eps)
-    out = np.multiply(gy, gy)  # the returned buffer; holds gy^2 until w is formed
-    w = np.multiply(gx, gx)
-    w += out
-    w += eps * eps
-    np.sqrt(w, out=w)
-    gx /= w
-    gy /= w
-    out[...] = gx
-    out[:, 1:] -= gx[:, :-1]
-    out += gy
-    out[1:, :] -= gy[:-1, :]
-    return np.negative(out, out=out)
+    out = np.zeros(np.shape(f))
+    tv_smooth(f, eps, grad_out=out)
+    return out

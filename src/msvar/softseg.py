@@ -15,7 +15,10 @@ Heaviside memberships); it and the one iteration driver, iterate, live here.
 The kernels on the descent path work in place and one class (and channel) at
 a time: they allocate what they return and at most a few (H, W) planes, never
 an (N, H, W, C) residual, and leave their inputs unchanged (_chain_softmax
-alone overwrites the gradient it is given).
+alone overwrites the gradient it is given). The fused loss-and-gradient pass,
+energy(..., grad_out=g), builds the residual in g and keeps every temporary
+strip-sized: the data term is summed and the TV value and gradient are taken
+over strips of grid.STRIP elements.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import EPS_DEN, as_image, tv_smooth, tv_smooth_grad
+from .grid import EPS_DEN, STRIP, as_image, tv_smooth, tv_smooth_grad
 
 # b is clamped into this range after every update to rule out the degenerate
 # zero-bias collapse.
@@ -131,11 +134,13 @@ def soft_centroids(x, memberships):
     return weighted_means(as_image(x), memberships)
 
 
-def _residual_sums(x, c, b=None, weights=None):
+def _residual_sums(x, c, b=None, weights=None, out=None):
     """sum_ch w_n,ch (x_ch(r) - b(r) c_n,ch) per class, shape (N, H, W); with
     weights None the residual is squared instead (w = the residual itself).
-    b = None is b = 1. Built one (H, W) plane at a time, channel by channel."""
-    out = np.empty(c.shape[:1] + x.shape[:2])
+    b = None is b = 1. Built one (H, W) plane at a time, channel by channel,
+    in out when given."""
+    if out is None:
+        out = np.empty(c.shape[:1] + x.shape[:2])
     plane = np.empty(x.shape[:2]) if c.shape[1] > 1 else None
     for n in range(c.shape[0]):
         for ch in range(c.shape[1]):
@@ -155,18 +160,45 @@ def sq_residual(x, c, b=None):
     return _residual_sums(x, c, b)
 
 
-def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0, tv_y=None):
+def _strip_dot(a, v):
+    """sum(a * v) of two contiguous arrays, multiplied STRIP elements at a time."""
+    a, v = a.reshape(-1), v.reshape(-1)
+    buf = np.empty(min(STRIP, a.size))
+    total = 0.0
+    for i in range(0, a.size, STRIP):
+        p = buf[: min(STRIP, a.size - i)]
+        total += float(np.sum(np.multiply(a[i : i + STRIP], v[i : i + STRIP], out=p)))
+    return total
+
+
+def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0, tv_y=None, grad_out=None):
     """sum_n sum_r ||x - b c_n||^2 y_n + lambda_tv sum_n TV(y_n) [+ gamma TV(b)]
     as (loss, data, tv_y), with tv_b appended when b is given. A known
-    lambda_tv sum_n TV(y_n) may be passed as tv_y; it is then not recomputed."""
-    sq = sq_residual(x, c, b)
-    data = float(np.sum(np.multiply(sq, y, out=sq)))
-    del sq
+    lambda_tv sum_n TV(y_n) may be passed as tv_y; it is then not recomputed.
+    A zero lambda_tv or gamma skips its TV term, which is then exactly 0.
+
+    Given an (N, H, W) grad_out (and no tv_y), the same pass writes into it the
+    gradient in the memberships with c (and b) frozen,
+    ||x - b c_n||^2 + lambda_tv grad TV(y_n): the residual is built there and
+    the data term summed strip by strip, so no (N, H, W) product is formed.
+    """
+    if grad_out is None:
+        sq = sq_residual(x, c, b)
+        data = float(np.sum(np.multiply(sq, y, out=sq)))
+        del sq
+    else:
+        if tv_y is not None:
+            raise ValueError("grad_out needs the TV term computed, not passed as tv_y")
+        data = _strip_dot(_residual_sums(x, c, b, out=grad_out), y)
     if tv_y is None:
-        tv_y = lambda_tv * sum(tv_smooth(y[n], tv_eps) for n in range(y.shape[0]))
+        tv_y = 0.0
+        if lambda_tv != 0.0:
+            grads = [None] * y.shape[0] if grad_out is None else grad_out
+            tv_y = lambda_tv * sum(tv_smooth(y[n], tv_eps, grads[n], lambda_tv)
+                                   for n in range(y.shape[0]))
     if b is None:
         return data + tv_y, data, tv_y
-    tv_b = gamma * tv_smooth(b, tv_eps)
+    tv_b = gamma * tv_smooth(b, tv_eps) if gamma != 0.0 else 0.0
     return data + tv_y + tv_b, data, tv_y, tv_b
 
 
@@ -197,9 +229,7 @@ def grad_memberships(x, y, c, cfg, b=None):
     g = sq_residual(x, c, b)
     if cfg.lambda_tv != 0.0:
         for n in range(y.shape[0]):
-            tv_grad = tv_smooth_grad(y[n], cfg.tv_eps)
-            tv_grad *= cfg.lambda_tv
-            g[n] += tv_grad
+            tv_smooth(y[n], cfg.tv_eps, g[n], cfg.lambda_tv)
     return g
 
 
@@ -211,7 +241,9 @@ def grad_b(x, y, b, c, tv_eps, gamma):
     """
     fit = _residual_sums(x, c, b, c)
     data_grad = -2.0 * np.sum(np.multiply(y, fit, out=fit), axis=0)
-    return data_grad + gamma * tv_smooth_grad(b, tv_eps)
+    if gamma != 0.0:
+        tv_smooth(b, tv_eps, data_grad, gamma)
+    return data_grad
 
 
 def ms_loss_grad(x, seg, cfg, mode="frozen-centroids"):
@@ -403,29 +435,38 @@ def _descend(state_eval, step0, loss_now):
         cand, terms = state_eval(eta)
         if terms[0] <= loss_now:
             return cand, terms, False
+        cand = None  # free the rejected trial before the next one is built
         eta *= 0.5
     return None, None, True
 
 
-def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0):
+def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False):
     """Block-coordinate descent on the energy over memberships y = members(u)
     (and a bias field b).
 
-    Per iteration: a backtracked step u - eta * direction(u, y, c, b), then,
+    Per iteration: a backtracked step u - eta * direction(u, y, c, b, g), then,
     exactly when b is given, one on b clamped to [B_MIN, B_MAX] (see _descend).
     A block whose backtracking exhausts is skipped; when every block does, the
     run stops as "stalled". Returns ((u, y, c, b), trace, stop), c the means.
+
+    With eager set and no b, every evaluation also builds g, the energy's
+    gradient in the memberships (energy's grad_out), which the direction may
+    overwrite; otherwise g is None. A bias step moves c and b after the member
+    trial, so with b given the gradient would be stale and is not built.
     """
+    eager = eager and b is None
 
     def evaluate(u, b, y=None, tv_y=None):
         # a trial that leaves u unchanged passes its y and lambda sum_n TV(y_n)
         if y is None:
             y = members(u)
         c = weighted_means(x, y, b)
-        return (u, y, c, b), energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y)
+        g = np.empty_like(y) if eager else None
+        terms = energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g)
+        return (u, y, c, b, g), terms
 
-    def member_block(u, y, c, b):
-        d = direction(u, y, c, b)
+    def member_block(u, y, c, b, g):
+        d = direction(u, y, c, b, g)
 
         def trial(eta):
             cand = np.multiply(d, eta)
@@ -433,7 +474,7 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0):
 
         return trial
 
-    def bias_block(u, y, c, b):
+    def bias_block(u, y, c, b, _):
         g = grad_b(x, y, b, c, cfg.tv_eps, gamma)
         tv_y = terms[2]
         return lambda eta: evaluate(u, np.clip(b - eta * g, B_MIN, B_MAX), y, tv_y)
@@ -452,7 +493,7 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0):
         return terms if moved else None
 
     trace, stop = iterate(step, terms, cfg.max_iters, cfg.rel_tol)
-    return state, trace, stop
+    return state[:4], trace, stop
 
 
 def _softmax_descent(x, cfg, init, gamma=None):
@@ -461,13 +502,14 @@ def _softmax_descent(x, cfg, init, gamma=None):
     argmax of the memberships; raises ConvergenceError carrying it when every
     block stalls."""
 
-    def direction(z, y, c, b):
-        return _chain_softmax(y, grad_memberships(x, y, c, cfg, b))
+    def direction(z, y, c, b, g):
+        # g is None only with the bias block on; then it is taken here, after the bias step
+        return _chain_softmax(y, grad_memberships(x, y, c, cfg, b) if g is None else g)
 
     # the initial arrays are passed inline so that no frame keeps them alive
     (z, y, c, b), trace, stop = block_descent(
         x, cfg, init_logits(x, cfg, init), softmax, direction,
-        None if gamma is None else np.ones(x.shape[:2]), gamma)
+        None if gamma is None else np.ones(x.shape[:2]), gamma, eager=True)
     seg = SoftSegmentation(logits=z, memberships=y)
     result = Result(hard_mask(seg), c, trace, stop, seg, b)
     if stop == "stalled":

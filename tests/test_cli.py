@@ -258,6 +258,25 @@ def test_segment_rejects_mistyped_config_values(tmp_path, capsys, config, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, flags, code, message", [
+    ({"init": "foo"}, [], 1, "unknown init 'foo'"),  # usage error, as the flag --init foo
+    ({"solver": "foo"}, [], 1, "unknown solver 'foo'"),
+    ({"classes": 1}, [], 2, "num_classes must be >= 2"),  # the solver's own validation
+    (None, ["--classes", "1"], 2, "num_classes must be >= 2"),
+], ids=["config-init", "config-solver", "config-classes", "flag-classes"])
+def test_segment_rejected_at_validation_writes_nothing(tmp_path, capsys, config, flags, code,
+                                                       message):
+    data = synth(tmp_path)
+    argv = ["segment", *flags]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv += ["--config", tmp_path / "c.json"]
+    out = tmp_path / "out"
+    assert run(argv + [data / "image.pgm", out]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_segment_missing_input_exits_2(tmp_path):
     assert run(["segment", tmp_path / "nope.pgm", tmp_path / "out"]) == 2
 

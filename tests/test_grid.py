@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from msvar import grid
 from msvar.grid import grad_forward, tv_smooth, tv_smooth_grad
 
-from oracles import fd_gradient, grad_forward_loop, tv_smooth_loop
+from oracles import divergence_normalized_loop, fd_gradient, grad_forward_loop, tv_smooth_loop
 
 
 def test_grad_constant_field_is_zero():
@@ -110,3 +113,42 @@ def test_rejects_non_finite():
     f[1, 1] = np.inf
     with pytest.raises(ValueError):
         grad_forward(f)
+
+
+# ------------------------------------------------------- strip-mined TV pass
+
+# Strip lengths in elements: the default, 3 rows of a width-8 field (13 rows
+# do not divide), and fewer elements than a row (one row per strip).
+@pytest.mark.parametrize("strip", [grid.STRIP, 25, 5])
+@pytest.mark.parametrize("shape", [(13, 8), (1, 9), (9, 1), (1, 1)],
+                         ids=["13x8", "1x9", "9x1", "1x1"])
+def test_tv_smooth_adds_its_scaled_gradient(monkeypatch, strip, shape):
+    rng = np.random.default_rng(5)
+    f, base = rng.random(shape), rng.random(shape)
+    whole = tv_smooth_grad(f, 1e-3)  # one strip covers every field here
+    monkeypatch.setattr(grid, "STRIP", strip)
+    out = base.copy()
+    value = tv_smooth(f, 1e-3, grad_out=out, scale=0.7)
+    assert value == tv_smooth(f, 1e-3)
+    assert value == pytest.approx(tv_smooth_loop(f, 1e-3), rel=1e-14, abs=1e-300)
+    assert np.array_equal(tv_smooth_grad(f, 1e-3), whole)  # the strips do not show
+    assert np.array_equal(out, base + 0.7 * whole)
+    assert np.max(np.abs(whole + divergence_normalized_loop(f, 1e-3))) <= 1e-12
+
+
+def test_tv_smooth_with_gradient_keeps_its_temporaries_strip_sized():
+    # the whole-plane gradient allocated about four (H, W) planes
+    f = np.random.default_rng(0).random((1024, 1024))
+    out = np.zeros_like(f)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tv_smooth(f, 1e-8, grad_out=out)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < f.nbytes, f"traced peak {peak / f.nbytes:.2f} planes"

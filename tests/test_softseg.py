@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msvar import softseg
+from msvar import grid, softseg
 from msvar.bias import bias_loss_grad_b, minimize_ms_bias
 from msvar.errors import ConvergenceError
 from msvar.grid import tv_smooth, tv_smooth_grad
@@ -27,10 +27,12 @@ from msvar.softseg import (
     soft_centroids,
     softmax,
     sq_residual,
+    weighted_means,
 )
 
 from oracles import (
     best_permutation_ious,
+    bias_ms_loss_loop,
     centroids_loop,
     fd_gradient,
     fixed_point_velocity_loop,
@@ -513,6 +515,7 @@ def test_kernels_leave_their_inputs_unchanged(channels, biased):
         "tv_smooth_grad": lambda: tv_smooth_grad(y[1], 1e-2),
         "sq_residual": lambda: sq_residual(x, c, b),
         "energy": lambda: energy(x, y, c, 0.1, 1e-2, b, 0.5),
+        "energy-grad_out": lambda: energy(x, y, c, 0.1, 1e-2, b, 0.5, grad_out=np.empty_like(y)),
         "grad_memberships": lambda: grad_memberships(x, y, c, cfg, b),
         "ms_loss_grad-frozen": lambda: ms_loss_grad(x, seg, cfg, "frozen-centroids"),
         "ms_loss_grad-full": lambda: ms_loss_grad(x, seg, cfg, "full"),
@@ -538,10 +541,10 @@ def test_kernels_leave_their_inputs_unchanged(channels, biased):
 @pytest.mark.parametrize("quantised", [True, False], ids=["pgm", "float"])
 def test_minimize_ms_peak_memory_in_membership_stacks(quantised):
     # the descent holds the logits, the memberships, the step direction and
-    # one trial's logits and memberships, and evaluates the trial's data term
-    # in one more stack: about 6 stacks of shape (N, H, W); 7.5 before the
-    # kernels worked in place. On unquantised input k-means clusters every
-    # pixel value; its temporaries must fit under the same bound.
+    # one trial's logits and memberships, and the trial's membership gradient,
+    # which its energy evaluation builds: about 6 stacks of shape (N, H, W);
+    # 7.5 before the kernels worked in place. On unquantised input k-means
+    # clusters every pixel value; its temporaries must fit under the same bound.
     size, classes = 256, 2
     image, _, _ = make_phantom("two-phase", size, 0.05, 0)
     if quantised:
@@ -605,3 +608,95 @@ def test_minimize_ms_keeps_a_class_empty_at_the_start_finite():
     assert result.centroids.shape == (4, 1) and np.all(np.isfinite(result.centroids))
     assert np.all(np.isfinite(result.trace)) and np.all(np.diff(result.trace[:, 0]) <= 0)
     assert np.array_equal(result.labels, hard_mask(result.seg))
+
+
+# ------------------------------------------------ fused loss-and-gradient pass
+
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+# Strip lengths in elements: the default, 3 rows of a width-8 field (13 rows do
+# not divide), and fewer elements than a row (one row per strip).
+@pytest.mark.parametrize("strip", [grid.STRIP, 25, 5])
+@pytest.mark.parametrize("shape, channels, biased, lam", [
+    ((13, 8), 1, False, 2e-3),
+    ((13, 8), 3, False, 2e-3),
+    ((13, 8), 3, True, 2e-3),
+    ((1, 9), 1, False, 0.1),
+    ((9, 1), 1, True, 0.1),
+    ((13, 8), 1, True, 0.0),
+], ids=["plain", "rgb", "rgb-bias", "1xW", "Hx1-bias", "lambda0-bias"])
+def test_energy_builds_the_membership_gradient(monkeypatch, strip, shape, channels, biased, lam):
+    monkeypatch.setattr(grid, "STRIP", strip)
+    monkeypatch.setattr(softseg, "STRIP", strip)
+    rng = np.random.default_rng(41)
+    x = rng.random(shape + (channels,))
+    y = softmax(rng.uniform(-2.0, 2.0, (3,) + shape))
+    b = rng.uniform(0.5, 1.5, shape) if biased else None
+    c = weighted_means(x, y, b)
+    g = np.full_like(y, np.nan)
+    got = energy(x, y, c, lam, 1e-3, b, 0.3, grad_out=g)
+    want_g = sq_residual(x, c, b) + np.stack([lam * tv_smooth_grad(yn, 1e-3) for yn in y])
+    assert np.array_equal(g, want_g)
+    if biased:
+        want = bias_ms_loss_loop(x, y, b, lam, 0.3, 1e-3)
+    else:
+        want = ms_loss_loop(x, y, lam, 1e-3)
+    for term, w in zip(got[1:], want[1:]):
+        assert term == pytest.approx(w, rel=1e-14, abs=1e-300)
+    assert got[0] == pytest.approx(energy(x, y, c, lam, 1e-3, b, 0.3)[0], rel=1e-14)
+
+
+def test_energy_with_gradient_needs_the_tv_term():
+    x, seg = random_instance(0)
+    y = seg.memberships
+    with pytest.raises(ValueError, match="tv_y"):
+        energy(x, y, weighted_means(x, y), 0.1, 1e-3, tv_y=0.5, grad_out=np.empty_like(y))
+
+
+def test_zero_weights_skip_the_tv_work(monkeypatch):
+    calls = {}
+    _counting(monkeypatch, softseg, "tv_smooth", calls)
+    x, seg = random_instance(3)
+    y = seg.memberships
+    b = np.random.default_rng(3).uniform(0.5, 1.5, x.shape[:2])
+    c = weighted_means(x, y, b)
+    g = np.empty_like(y)
+    assert energy(x, y, c, 0.0, 1e-3, grad_out=g)[2] == 0.0
+    assert np.array_equal(g, sq_residual(x, c))
+    assert energy(x, y, c, 0.0, 1e-3, b, 0.0)[2:] == (0.0, 0.0)
+    minimize_ms(x, MsConfig(num_classes=3, lambda_tv=0.0, max_iters=5), init="kmeans")
+    minimize_ms_bias(x, MsConfig(num_classes=3, lambda_tv=0.0, max_iters=5), 0.0, init="kmeans")
+    assert calls == {}
+    energy(x, y, c, 0.1, 1e-3, b, 0.0)
+    assert calls == {"tv_smooth": 3}  # the memberships' TV only
+
+
+def test_ms_iterations_take_the_gradient_from_the_trial_evaluation(monkeypatch):
+    # each evaluation of a trial (and of the start) takes the TV value and the
+    # TV gradient of every class in one tv_smooth call; no pass of its own
+    calls, trials = {}, []
+    _counting(monkeypatch, softseg, "tv_smooth", calls)
+    _counting(monkeypatch, softseg, "tv_smooth_grad", calls)
+    _counting(monkeypatch, softseg, "grad_memberships", calls)
+    real_descend = softseg._descend
+
+    def counting_descend(state_eval, step0, loss_now):
+        def counted(eta):
+            trials.append(eta)
+            return state_eval(eta)
+
+        return real_descend(counted, step0, loss_now)
+
+    monkeypatch.setattr(softseg, "_descend", counting_descend)
+    image, _, _ = make_phantom("four-phase", 24, 0.05, 0)
+    result = minimize_ms(image, MsConfig(num_classes=3, max_iters=3), init="kmeans")
+    assert len(result.trace) == 4 and len(trials) >= 3
+    assert calls == {"tv_smooth": 3 * (1 + len(trials))}
