@@ -51,20 +51,27 @@ def grad_forward(f):
     return gx, gy
 
 
-# Elements per row strip of the TV kernel (whole rows, at least one); its three
-# strip buffers take 384 KiB and stay in a 2 MiB L2 cache. Measured in
-# minimize_ms: 8192 spends about 15 % more per call at 256^2 and 1024^2 (more
-# strips, each with a fixed cost); 32768 is faster at 1024^2 but lifts the
-# traced peak of a 256^2 run from 6.6 to 7.0 (N, H, W) stacks.
+# Elements per row strip (whole rows, at least one) of the two strip-mined
+# kernels, the TV stencil here and levelset.curvature_central; three strip
+# buffers take 384 KiB and stay in a 2 MiB L2 cache. Measured on the TV kernel
+# in minimize_ms: 8192 spends about 15 % more per call at 256^2 and 1024^2
+# (more strips, each with a fixed cost); 32768 is faster at 1024^2 but lifts
+# the traced peak of a 256^2 run from 6.6 to 7.0 (N, H, W) stacks.
 STRIP = 16384
+
+
+def strip_rows(w):
+    """Rows per strip of a field w columns wide: STRIP elements, at least one row."""
+    return max(1, STRIP // max(w, 1))
 
 
 def tv_smooth(f, eps=1e-8, grad_out=None, scale=1.0):
     """Smoothed isotropic total variation of a scalar field.
 
     Returns sum_r sqrt(gx^2 + gy^2 + eps^2) - H*W*eps; the subtraction makes
-    the value of a constant field exactly 0. Given an (H, W) grad_out, it also
-    adds scale * tv_smooth_grad(f, eps) into it, from the same differences.
+    the value of a constant field 0 up to rounding. Given an (H, W) grad_out,
+    it also adds scale * tv_smooth_grad(f, eps) into it, from the same
+    differences.
 
     The field is processed in row strips of about STRIP elements, so every
     temporary is strip-sized; the divergence of a strip's first row takes
@@ -74,7 +81,7 @@ def tv_smooth(f, eps=1e-8, grad_out=None, scale=1.0):
         raise ValueError(f"tv smoothing eps must be positive, got {eps}")
     f = as_field(f)
     h, w = f.shape
-    rows = max(1, STRIP // max(w, 1))
+    rows = strip_rows(w)
     gx = np.zeros((min(rows, h), w))  # its last column stays 0
     gy, mag = np.empty_like(gx), np.empty_like(gx)
     halo = np.zeros(w)  # qy of the row above the strip

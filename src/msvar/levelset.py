@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import as_image
+from .grid import as_image, strip_rows
 from .softseg import MsConfig, Result, block_descent, energy, sq_residual, weighted_means
 
 # Not called here; bound only so that perfbench/tracing.py's per-module targets resolve.
@@ -80,17 +80,65 @@ def region_means(x, state):
 def curvature_central(phi):
     """div(grad phi / |grad phi|) by central differences, replicate boundary.
 
-    CURVATURE_GUARD is added to the |grad phi|^3 denominator.
+    CURVATURE_GUARD is added to the |grad phi|^3 denominator. The field is
+    walked in row strips of grid.STRIP elements: each strip is copied into a
+    buffer padded by its edge columns and by the rows above and below it (the
+    field's own edge rows at its top and bottom), and every product is taken
+    in the order of the whole-plane formula, so the result does not depend on
+    the strip length.
     """
-    p = np.pad(np.asarray(phi, dtype=np.float64), 1, mode="edge")
-    fx = 0.5 * (p[1:-1, 2:] - p[1:-1, :-2])
-    fy = 0.5 * (p[2:, 1:-1] - p[:-2, 1:-1])
-    fxx = p[1:-1, 2:] - 2.0 * p[1:-1, 1:-1] + p[1:-1, :-2]
-    fyy = p[2:, 1:-1] - 2.0 * p[1:-1, 1:-1] + p[:-2, 1:-1]
-    fxy = 0.25 * (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2])
-    num = fxx * fy * fy - 2.0 * fx * fy * fxy + fyy * fx * fx
-    mag2 = fx * fx + fy * fy
-    return num / (mag2 ** 1.5 + CURVATURE_GUARD)
+    phi = np.asarray(phi, dtype=np.float64)
+    h, w = phi.shape
+    rows = min(strip_rows(w), h)
+    pad = np.empty((rows + 2, w + 2))
+    fx, fy, a, b = (np.empty((rows, w)) for _ in range(4))
+    out = np.empty((h, w))
+    for i0 in range(0, h, rows):
+        i1 = min(i0 + rows, h)
+        r = i1 - i0
+        p = pad[: r + 2]
+        p[1:-1, 1:-1] = phi[i0:i1]
+        p[0, 1:-1] = phi[max(i0 - 1, 0)]
+        p[-1, 1:-1] = phi[min(i1, h - 1)]
+        p[:, 0] = p[:, 1]
+        p[:, -1] = p[:, -2]
+        up, mid, down = p[:-2], p[1:-1], p[2:]
+        sx, sy, sa, sb = fx[:r], fy[:r], a[:r], b[:r]
+        # fx = 0.5 (E - W), fy = 0.5 (S - N)
+        np.subtract(mid[:, 2:], mid[:, :-2], out=sx)
+        sx *= 0.5
+        np.subtract(down[:, 1:-1], up[:, 1:-1], out=sy)
+        sy *= 0.5
+        # sb = 2 fx fy fxy with fxy = 0.25 (SE - SW - NE + NW)
+        np.subtract(down[:, 2:], down[:, :-2], out=sa)
+        sa -= up[:, 2:]
+        sa += up[:, :-2]
+        sa *= 0.25
+        np.multiply(sx, 2.0, out=sb)
+        sb *= sy
+        sb *= sa
+        # num = fxx fy fy - 2 fx fy fxy + fyy fx fx, fxx = (E - 2 C) + W
+        np.multiply(mid[:, 1:-1], 2.0, out=sa)
+        np.subtract(mid[:, 2:], sa, out=sa)
+        sa += mid[:, :-2]
+        sa *= sy
+        sa *= sy
+        sa -= sb
+        np.multiply(mid[:, 1:-1], 2.0, out=sb)
+        np.subtract(down[:, 1:-1], sb, out=sb)
+        sb += up[:, 1:-1]
+        sb *= sx
+        sb *= sx
+        sa += sb
+        # mag2 = fx fx + fy fy
+        np.multiply(sx, sx, out=sb)
+        sy *= sy
+        sb += sy
+        # the power, not mag2 * sqrt(mag2): that rounds otherwise and moves masks
+        np.power(sb, 1.5, out=sb)
+        sb += CURVATURE_GUARD
+        np.divide(sa, sb, out=out[i0:i1])
+    return out
 
 
 def _check_cfl(dt, lambda_tv):

@@ -1,9 +1,11 @@
 """Straight-loop reference implementations used to pin the vectorized code.
 
 Everything here is written with explicit Python loops over pixels and
-classes, independent of the library's numpy formulations. The exception is
-levelset_descent_loop, which pins the level-set solver's iteration to the
-public one-step functions it is built from.
+classes, independent of the library's numpy formulations. The exceptions
+are levelset_descent_loop, which pins the level-set solver's iteration to the
+public one-step functions it is built from, and curvature_central_planes, the
+whole-plane numpy formula that the strip-mined curvature kernel must
+reproduce bit for bit.
 """
 
 import math
@@ -176,6 +178,18 @@ def curvature_central_loop(phi, guard=1e-8):
             num = fxx * fy * fy - 2 * fx * fy * fxy + fyy * fx * fx
             kappa[i, j] = num / ((fx * fx + fy * fy) ** 1.5 + guard)
     return kappa
+
+
+def curvature_central_planes(phi, guard=1e-8):
+    p = np.pad(np.asarray(phi, dtype=np.float64), 1, mode="edge")
+    fx = 0.5 * (p[1:-1, 2:] - p[1:-1, :-2])
+    fy = 0.5 * (p[2:, 1:-1] - p[:-2, 1:-1])
+    fxx = p[1:-1, 2:] - 2.0 * p[1:-1, 1:-1] + p[1:-1, :-2]
+    fyy = p[2:, 1:-1] - 2.0 * p[1:-1, 1:-1] + p[:-2, 1:-1]
+    fxy = 0.25 * (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2])
+    num = fxx * fy * fy - 2.0 * fx * fy * fxy + fyy * fx * fx
+    mag2 = fx * fx + fy * fy
+    return num / (mag2 ** 1.5 + guard)
 
 
 def levelset_velocity_loop(x, phi, eps_h, lam, eps_den=1e-8):

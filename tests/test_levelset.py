@@ -22,6 +22,7 @@ from oracles import (
     best_permutation_ious,
     centroids_loop,
     curvature_central_loop,
+    curvature_central_planes,
     heaviside_loop,
     levelset_descent_loop,
     levelset_velocity_loop,
@@ -113,6 +114,24 @@ def test_region_means_match_loop_oracle():
 def test_curvature_matches_loop_oracle():
     rng = np.random.default_rng(3)
     phi = rng.uniform(-1, 1, (7, 7))
+    assert np.max(np.abs(curvature_central(phi) - curvature_central_loop(phi))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(70, 300), (3, 20000), (1, 9), (9, 1), (1, 1), (256, 256)],
+    ids=["two-strips-last-short", "one-row-per-strip", "1x9", "9x1", "1x1", "256x256"],
+)
+def test_strip_mined_curvature_equals_the_whole_plane_formula(shape):
+    rng = np.random.default_rng(11)
+    phi = rng.uniform(-1, 1, shape)
+    before = phi.copy()
+    assert np.array_equal(curvature_central(phi), curvature_central_planes(phi))
+    assert np.array_equal(phi, before)
+
+
+def test_curvature_across_strips_matches_loop_oracle():
+    phi = np.random.default_rng(12).uniform(-1, 1, (70, 300))
     assert np.max(np.abs(curvature_central(phi) - curvature_central_loop(phi))) < 1e-9
 
 
