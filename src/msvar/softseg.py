@@ -424,23 +424,35 @@ def iterate(step, terms, max_iters, rel_tol):
 
 
 def _descend(state_eval, step0, loss_now):
-    """Backtracking helper: returns (state, terms, exhausted).
+    """Backtracking helper: returns (state, terms, exhausted, eta).
 
     state_eval(eta) evaluates the candidate at step eta against the full
     objective (centroids refreshed); the step is accepted when the loss does
-    not increase. Halves the step up to 30 times, then reports exhaustion.
+    not increase, and eta is the step accepted. Halves the step from step0 up
+    to 30 times, then reports exhaustion as (None, None, True, None).
     """
     eta = step0
     for _ in range(31):
         cand, terms = state_eval(eta)
         if terms[0] <= loss_now:
-            return cand, terms, False
+            return cand, terms, False, eta
         cand = None  # free the rejected trial before the next one is built
         eta *= 0.5
-    return None, None, True
+    return None, None, True, None
 
 
-def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False):
+def _bb_step(s_s, s_y, last):
+    """Barzilai-Borwein step s.s / s.y, or last when s.y <= 0 or the ratio is
+    not finite."""
+    if s_y > 0:
+        step = s_s / s_y
+        if np.isfinite(step):
+            return float(step)
+    return last
+
+
+def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False,
+                  fixed_step=False):
     """Block-coordinate descent on the energy over memberships y = members(u)
     (and a bias field b).
 
@@ -448,6 +460,15 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False)
     exactly when b is given, one on b clamped to [B_MIN, B_MAX] (see _descend).
     A block whose backtracking exhausts is skipped; when every block does, the
     run stops as "stalled". Returns ((u, y, c, b), trace, stop), c the means.
+
+    Each block's first trial step is cfg.step_size at the start and after the
+    block exhausts; otherwise it is the Barzilai-Borwein ratio s.s / s.y of the
+    block's last accepted step s and the change y of its direction across it:
+    eta ||d'||^2 / (||d'||^2 - d'.d) for u, with d' the direction u last moved
+    along by eta, and db.db / db.dg for b, with db the clamped change in b and
+    dg the change in the gradient in b. Where s.y <= 0 or the ratio is not
+    finite, the block's last accepted step is reused. With fixed_step set
+    (the level-set Euler step), every first trial step is cfg.step_size.
 
     With eager set and no b, every evaluation also builds g, the energy's
     gradient in the memberships (energy's grad_out), which the direction may
@@ -465,19 +486,32 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False)
         terms = energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g)
         return (u, y, c, b, g), terms
 
+    # per block: its last accepted step, and what its BB ratio keeps of that
+    # step (u's direction d'; b and its gradient before the step)
+    steps, prev = [cfg.step_size] * 2, [None] * 2
+
     def member_block(u, y, c, b, g):
         d = direction(u, y, c, b, g)
+        step0 = steps[0]
+        if prev[0] is not None:
+            dd, dp = np.vdot(prev[0], prev[0]), np.vdot(prev[0], d)
+            prev[0] = None  # d' is not needed past its dot products
+            step0 = _bb_step(step0 * dd, dd - dp, step0)
 
         def trial(eta):
             cand = np.multiply(d, eta)
             return evaluate(np.subtract(u, cand, out=cand), b)
 
-        return trial
+        return trial, step0, d
 
     def bias_block(u, y, c, b, _):
         g = grad_b(x, y, b, c, cfg.tv_eps, gamma)
+        step0 = steps[1]
+        if prev[1] is not None:
+            db, dg = b - prev[1][0], g - prev[1][1]
+            step0 = _bb_step(np.vdot(db, db), np.vdot(db, dg), step0)
         tv_y = terms[2]
-        return lambda eta: evaluate(u, np.clip(b - eta * g, B_MIN, B_MAX), y, tv_y)
+        return lambda eta: evaluate(u, np.clip(b - eta * g, B_MIN, B_MAX), y, tv_y), step0, (b, g)
 
     blocks = (member_block,) if b is None else (member_block, bias_block)
     state, terms = evaluate(u, b)
@@ -486,10 +520,16 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False)
     def step():
         nonlocal state, terms
         moved = False
-        for block in blocks:
-            cand, cand_terms, exhausted = _descend(block(*state), cfg.step_size, terms[0])
-            if not exhausted:
+        for k, block in enumerate(blocks):
+            trial, step0, memo = block(*state)
+            cand, cand_terms, exhausted, eta = _descend(trial, step0, terms[0])
+            del trial  # it holds the arrays the step left behind
+            if exhausted:
+                steps[k], prev[k] = cfg.step_size, None
+            else:
                 state, terms, moved = cand, cand_terms, True
+                if not fixed_step:
+                    steps[k], prev[k] = eta, memo
         return terms if moved else None
 
     trace, stop = iterate(step, terms, cfg.max_iters, cfg.rel_tol)
