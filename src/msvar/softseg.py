@@ -441,11 +441,11 @@ def _descend(state_eval, step0, loss_now):
     return None, None, True, None
 
 
-def _bb_step(s_s, s_y, last):
-    """Barzilai-Borwein step s.s / s.y, or last when s.y <= 0 or the ratio is
+def _bb_step(s_s, s_dg, last):
+    """Barzilai-Borwein step s.s / s.dg, or last when s.dg <= 0 or the ratio is
     not finite."""
-    if s_y > 0:
-        step = s_s / s_y
+    if s_dg > 0:
+        step = s_s / s_dg
         if np.isfinite(step):
             return float(step)
     return last
@@ -462,12 +462,12 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False,
     run stops as "stalled". Returns ((u, y, c, b), trace, stop), c the means.
 
     Each block's first trial step is cfg.step_size at the start and after the
-    block exhausts; otherwise it is the Barzilai-Borwein ratio s.s / s.y of the
-    block's last accepted step s and the change y of its direction across it:
-    eta ||d'||^2 / (||d'||^2 - d'.d) for u, with d' the direction u last moved
-    along by eta, and db.db / db.dg for b, with db the clamped change in b and
-    dg the change in the gradient in b. Where s.y <= 0 or the ratio is not
-    finite, the block's last accepted step is reused. With fixed_step set
+    block exhausts; otherwise it is the Barzilai-Borwein ratio s.s / s.dg of
+    the block's last accepted step s and the change dg of its direction across
+    it: eta ||d'||^2 / (||d'||^2 - d'.d) for u, with d' the direction u last
+    moved along by eta, and db.db / db.dg for b, with db the clamped change in
+    b and dg the change in the gradient in b. Where s.dg <= 0 or the ratio is
+    not finite, the block's last accepted step is reused. With fixed_step set
     (the level-set Euler step), every first trial step is cfg.step_size.
 
     With eager set and no b, every evaluation also builds g, the energy's

@@ -741,13 +741,13 @@ def _recording(monkeypatch, name, record):
 
 def test_bb_step_falls_back_on_a_bad_ratio():
     assert softseg._bb_step(3.0, 2.0, 0.7) == 1.5
-    for s_s, s_y in [(1.0, 0.0), (1.0, -2.0), (np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan),
-                     (1e300, 1e-300)]:
-        assert softseg._bb_step(s_s, s_y, 0.7) == 0.7
+    for s_s, s_dg in [(1.0, 0.0), (1.0, -2.0), (np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan),
+                      (1e300, 1e-300)]:
+        assert softseg._bb_step(s_s, s_dg, 0.7) == 0.7
 
 
 def test_logit_trial_steps_are_the_bb_ratio_of_the_last_step(monkeypatch):
-    # with s = -eta d' and y = d - d', s.s / s.y = eta ||d'||^2 / (||d'||^2 - d'.d)
+    # with s = -eta d' and dg = d - d', s.s / s.dg = eta ||d'||^2 / (||d'||^2 - d'.d)
     calls, dirs = [], []
     _recording_descend(monkeypatch, calls)
     _recording(monkeypatch, "_chain_softmax", dirs)
@@ -814,8 +814,8 @@ def test_bias_trial_steps_use_the_clamped_change_in_b(monkeypatch):
         if not np.allclose(db, unclamped, rtol=0.0, atol=1e-12):
             clamped += 1
             assert np.min(b) == softseg.B_MIN
-            s_y = np.vdot(unclamped, dg)
-            assert step0 != pytest.approx(np.vdot(unclamped, unclamped) / s_y, rel=1e-9)
+            s_dg = np.vdot(unclamped, dg)
+            assert step0 != pytest.approx(np.vdot(unclamped, unclamped) / s_dg, rel=1e-9)
     assert clamped > 0
 
 
