@@ -65,6 +65,7 @@ def strip_rows(w):
     return max(1, STRIP // max(w, 1))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a bad field is reported by the check at the end
 def tv_smooth(f, eps=1e-8, grad_out=None, scale=1.0):
     """Smoothed isotropic total variation of a scalar field.
 
@@ -76,10 +77,17 @@ def tv_smooth(f, eps=1e-8, grad_out=None, scale=1.0):
     The field is processed in row strips of about STRIP elements, so every
     temporary is strip-sized; the divergence of a strip's first row takes
     the last row of the strip above (a one-row halo).
+
+    Raises ValueError when the total is not finite: on an inf or nan value
+    (every pixel of a field of two or more enters a difference; a lone pixel
+    is checked itself), and on a huge finite field whose differences or their
+    squares overflow. grad_out may then hold part of the gradient.
     """
     if eps <= 0:
         raise ValueError(f"tv smoothing eps must be positive, got {eps}")
-    f = as_field(f)
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 2:
+        raise ValueError(f"scalar field must be 2-D, got shape {f.shape}")
     h, w = f.shape
     rows = strip_rows(w)
     gx = np.zeros((min(rows, h), w))  # its last column stays 0
@@ -116,6 +124,8 @@ def tv_smooth(f, eps=1e-8, grad_out=None, scale=1.0):
         halo[...] = sy[-1]
         m *= -scale
         grad_out[i0:i1] += m
+    if not np.isfinite(total) or (f.size == 1 and not np.isfinite(f[0, 0])):
+        raise ValueError("scalar field contains non-finite values, or its differences overflow")
     return total - h * w * eps
 
 

@@ -238,7 +238,8 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
     (phi, _, _, _), trace, stop = block_descent(
         x, cfg,
         initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed).phi,
-        lambda phi: memberships(LevelSetState(phi, eps_h)),
+        lambda phi, d=None, eta=0.0, out=None: memberships(
+            LevelSetState(phi if d is None else phi - d * eta, eps_h)),
         lambda phi, y, c, b, g: -_velocity(x, phi, c, eps_h, lambda_tv), fixed_step=True)
     labels = hard_labels(LevelSetState(phi, eps_h))
     means = np.zeros((cfg.num_classes, x.shape[2]))

@@ -15,10 +15,13 @@ Heaviside memberships); it and the one iteration driver, iterate, live here.
 The kernels on the descent path work in place and one class (and channel) at
 a time: they allocate what they return and at most a few (H, W) planes, never
 an (N, H, W, C) residual, and leave their inputs unchanged (_chain_softmax
-alone overwrites the gradient it is given). The fused loss-and-gradient pass,
-energy(..., grad_out=g), builds the residual in g and keeps every temporary
-strip-sized: the data term is summed and the TV value and gradient are taken
-over strips of grid.STRIP elements.
+alone overwrites the gradient it is given). softmax and _chain_softmax walk
+column strips of grid.STRIP pixels and allocate no plane at all. The fused
+loss-and-gradient pass, energy(..., grad_out=g), builds the residual in g and
+keeps every temporary strip-sized: the data term is summed and the TV value
+and gradient are taken over strips of grid.STRIP elements. A logit trial
+never forms its logits: softmax(u, d, eta, out) takes them strip by strip,
+into a stack the descent reuses (see block_descent).
 """
 
 from dataclasses import dataclass
@@ -60,20 +63,53 @@ class MsConfig:
             raise ValueError(f"tv_eps must be > 0, got {self.tv_eps}")
 
 
-def softmax(logits):
-    """Per-pixel softmax over the class axis of an (N, H, W) logit stack.
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by the isfinite check
+def softmax(logits, d=None, eta=0.0, out=None):
+    """Per-pixel softmax over the class axis of an (N, H, W) logit stack u, or,
+    given a direction d of its shape, of the trial logits u - d * eta, which
+    are never formed as a whole.
 
-    Computed with max-subtraction so large logits cannot overflow.
+    Walks column strips of STRIP pixels: each strip takes t = u - (d * eta),
+    checks that it is finite, subtracts its per-pixel max (so large logits
+    cannot overflow), exponentiates and divides by the sum over classes, in
+    the order and rounding of the whole-stack formula. The result goes into
+    out when given: a C-contiguous (N, H, W) stack that aliases neither input.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 3 or z.shape[0] < 2:
         raise ValueError(f"expected (N, H, W) logits with N >= 2, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits contain non-finite values")
-    e = z - z.max(axis=0, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=0, keepdims=True)
-    return e
+    if out is None:
+        out = np.empty(z.shape)
+    elif out.shape != z.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous stack of shape {z.shape}")
+    n = z.shape[0]
+    z = z.reshape(n, -1)
+    if d is not None:
+        d = d.reshape(n, -1)
+    t_all = out.reshape(n, -1)
+    s_all = np.empty(min(STRIP, z.shape[1]))  # per-pixel max, then sum
+    for i in range(0, z.shape[1], STRIP):
+        j = min(i + STRIP, z.shape[1])
+        t, s = t_all[:, i:j], s_all[: j - i]
+        if d is None:
+            t[...] = z[:, i:j]
+        else:
+            np.subtract(z[:, i:j], np.multiply(d[:, i:j], eta, out=t), out=t)
+        if not np.isfinite(t).all():
+            raise ValueError("logits contain non-finite values")
+        t -= np.max(t, axis=0, out=s)
+        np.exp(t, out=t)
+        t /= np.sum(t, axis=0, out=s)
+    return out
+
+
+def _step_in_place(u, d, eta):
+    """u -= d * eta, STRIP elements at a time, rounded as u - (d * eta)."""
+    u, d = u.reshape(-1), d.reshape(-1)
+    buf = np.empty(min(STRIP, u.size))
+    for i in range(0, u.size, STRIP):
+        j = min(i + STRIP, u.size)
+        u[i:j] -= np.multiply(d[i:j], eta, out=buf[: j - i])
 
 
 @dataclass(frozen=True)
@@ -214,13 +250,19 @@ def ms_loss(x, seg, cfg):
 
 def _chain_softmax(y, grad_y):
     """Pull a gradient w.r.t. memberships back through the softmax Jacobian,
-    y_n (g_n - sum_m g_m y_m), computed in (and returned as) grad_y."""
-    inner = grad_y[0] * y[0]
-    plane = np.empty_like(inner)
-    for n in range(1, y.shape[0]):
-        inner += np.multiply(grad_y[n], y[n], out=plane)
-    grad_y -= inner
-    grad_y *= y
+    y_n (g_n - sum_m g_m y_m), computed in (and returned as) grad_y, over
+    column strips of STRIP pixels."""
+    n = y.shape[0]
+    y2, g2 = y.reshape(n, -1), grad_y.reshape(n, -1)
+    inner, plane = (np.empty(min(STRIP, y2.shape[1])) for _ in range(2))
+    for i in range(0, y2.shape[1], STRIP):
+        j = min(i + STRIP, y2.shape[1])
+        ys, gs, s, p = y2[:, i:j], g2[:, i:j], inner[: j - i], plane[: j - i]
+        np.multiply(gs[0], ys[0], out=s)
+        for k in range(1, n):
+            s += np.multiply(gs[k], ys[k], out=p)
+        gs -= s
+        gs *= ys
     return grad_y
 
 
@@ -461,6 +503,14 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False,
     A block whose backtracking exhausts is skipped; when every block does, the
     run stops as "stalled". Returns ((u, y, c, b), trace, stop), c the means.
 
+    members(u, d=None, eta=0.0, out=None) returns the memberships of
+    u - d * eta (of u when d is None) without forming that array; it may
+    write them into out, a stack whose contents are no longer needed, and
+    returns them either way. block_descent owns u: an accepted step moves it
+    in place, rounded as u - (d * eta). While the logits are tried, the
+    trials write into the current memberships' stack; if the block exhausts,
+    members(u) is recomputed into it.
+
     Each block's first trial step is cfg.step_size at the start and after the
     block exhausts; otherwise it is the Barzilai-Borwein ratio s.s / s.dg of
     the block's last accepted step s and the change dg of its direction across
@@ -472,17 +522,17 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False,
 
     With eager set and no b, every evaluation also builds g, the energy's
     gradient in the memberships (energy's grad_out), which the direction may
-    overwrite; otherwise g is None. A bias step moves c and b after the member
-    trial, so with b given the gradient would be stale and is not built.
+    overwrite; otherwise g is None. The trials of a step write g into the
+    stack of d' once its dot products are taken. A bias step moves c and b
+    after the member trial, so with b given the gradient would be stale and
+    is not built.
     """
     eager = eager and b is None
+    u = np.ascontiguousarray(u, dtype=np.float64)
 
-    def evaluate(u, b, y=None, tv_y=None):
-        # a trial that leaves u unchanged passes its y and lambda sum_n TV(y_n)
-        if y is None:
-            y = members(u)
+    def evaluate(u, y, b, tv_y=None, g=None):
+        # a trial that leaves u unchanged passes lambda sum_n TV(y_n) as tv_y
         c = weighted_means(x, y, b)
-        g = np.empty_like(y) if eager else None
         terms = energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g)
         return (u, y, c, b, g), terms
 
@@ -490,19 +540,25 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False,
     # step (u's direction d'; b and its gradient before the step)
     steps, prev = [cfg.step_size] * 2, [None] * 2
 
+    # a block returns the state to go on from, with the terms, the accepted
+    # step and what the BB ratio keeps of it, or with None for all three when
+    # its backtracking exhausts
     def member_block(u, y, c, b, g):
         d = direction(u, y, c, b, g)
-        step0 = steps[0]
-        if prev[0] is not None:
-            dd, dp = np.vdot(prev[0], prev[0]), np.vdot(prev[0], d)
-            prev[0] = None  # d' is not needed past its dot products
+        step0, spare, prev[0] = steps[0], prev[0], None
+        if spare is not None:
+            dd, dp = np.vdot(spare, spare), np.vdot(spare, d)
             step0 = _bb_step(step0 * dd, dd - dp, step0)
-
-        def trial(eta):
-            cand = np.multiply(d, eta)
-            return evaluate(np.subtract(u, cand, out=cand), b)
-
-        return trial, step0, d
+        g = None
+        if eager:  # d' is not needed past its dot products; its stack takes the trials' g
+            g = np.empty_like(d) if spare is None else spare
+        del spare
+        cand, cand_terms, exhausted, eta = _descend(
+            lambda eta: evaluate(u, members(u, d, eta, y), b, g=g), step0, terms[0])
+        if exhausted:  # y holds a trial's memberships
+            return (u, members(u, out=y), c, b, None), None, None, None
+        _step_in_place(u, d, eta)
+        return cand, cand_terms, eta, d
 
     def bias_block(u, y, c, b, _):
         g = grad_b(x, y, b, c, cfg.tv_eps, gamma)
@@ -510,24 +566,28 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False,
         if prev[1] is not None:
             db, dg = b - prev[1][0], g - prev[1][1]
             step0 = _bb_step(np.vdot(db, db), np.vdot(db, dg), step0)
+            del db, dg
         tv_y = terms[2]
-        return lambda eta: evaluate(u, np.clip(b - eta * g, B_MIN, B_MAX), y, tv_y), step0, (b, g)
+        cand, cand_terms, exhausted, eta = _descend(
+            lambda eta: evaluate(u, y, np.clip(b - eta * g, B_MIN, B_MAX), tv_y), step0, terms[0])
+        if exhausted:
+            return (u, y, c, b, None), None, None, None
+        return cand, cand_terms, eta, (b, g)
 
     blocks = (member_block,) if b is None else (member_block, bias_block)
-    state, terms = evaluate(u, b)
-    del u, b  # state holds the current arrays; let the initial ones be freed
+    y = members(u)
+    state, terms = evaluate(u, y, b, g=np.empty_like(y) if eager else None)
+    del u, y, b  # state holds the current arrays
 
     def step():
         nonlocal state, terms
         moved = False
         for k, block in enumerate(blocks):
-            trial, step0, memo = block(*state)
-            cand, cand_terms, exhausted, eta = _descend(trial, step0, terms[0])
-            del trial  # it holds the arrays the step left behind
-            if exhausted:
+            state, cand_terms, eta, memo = block(*state)
+            if eta is None:
                 steps[k], prev[k] = cfg.step_size, None
             else:
-                state, terms, moved = cand, cand_terms, True
+                terms, moved = cand_terms, True
                 if not fixed_step:
                     steps[k], prev[k] = eta, memo
         return terms if moved else None

@@ -115,6 +115,32 @@ def test_rejects_non_finite():
         grad_forward(f)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("shape, at", [((4, 4), (1, 1)), ((4, 4), (3, 3)), ((1, 5), (0, 4)),
+                                       ((5, 1), (4, 0)), ((1, 1), (0, 0))],
+                         ids=["4x4-inner", "4x4-corner", "1x5", "5x1", "1x1"])
+def test_tv_rejects_non_finite(bad, shape, at):
+    f = np.zeros(shape)
+    f[at] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        tv_smooth(f, 1e-8)
+    with pytest.raises(ValueError, match="non-finite"):
+        tv_smooth_grad(f, 1e-8)
+    with pytest.raises(ValueError, match="non-finite"):
+        tv_smooth(f, 1e-8, grad_out=np.zeros(shape))
+
+
+def test_tv_rejects_a_finite_field_whose_differences_overflow():
+    f = np.array([[1e308, -1e308], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="overflow"):
+        tv_smooth(f, 1e-8)
+    with pytest.raises(ValueError, match="overflow"):
+        tv_smooth_grad(f, 1e-8)
+    f = np.array([[1e200, 0.0]])  # the difference is finite, its square is not
+    with pytest.raises(ValueError, match="overflow"):
+        tv_smooth(f, 1e-8)
+
+
 # ------------------------------------------------------- strip-mined TV pass
 
 # Strip lengths in elements: the default, 3 rows of a width-8 field (13 rows

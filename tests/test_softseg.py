@@ -104,6 +104,59 @@ def test_softmax_rejects_bad_input():
         softmax(z)
 
 
+def test_softmax_rejects_a_trial_that_overflows():
+    u, d = np.zeros((2, 3, 3)), np.zeros((2, 3, 3))
+    u[1, 2, 1], d[1, 2, 1] = 1e308, -1e308  # u - d * eta = 2e308
+    with pytest.raises(ValueError, match="non-finite"):
+        softmax(u, d, 1.0)
+    d[1, 2, 1] = 1e308
+    assert np.array_equal(softmax(u, d, 1.0), np.full((2, 3, 3), 0.5))
+    with pytest.raises(ValueError, match="non-finite"):
+        softmax(u, d, np.inf)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        softmax(u, d, 1.0, np.empty((2, 3, 6))[:, :, ::2])
+
+
+def _softmax_whole(z):
+    """The whole-stack softmax formula the strip kernels must reproduce."""
+    e = z - z.max(axis=0, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
+
+
+def _chain_softmax_whole(y, g):
+    inner = g[0] * y[0]
+    for n in range(1, y.shape[0]):
+        inner += g[n] * y[n]
+    return (g - inner) * y
+
+
+# Strip lengths in pixels (elements for the in-place step): the default, 25
+# (13x8 and N x 13 x 8 do not divide) and fewer than a row.
+@pytest.mark.parametrize("strip", [softseg.STRIP, 25, 5])
+@pytest.mark.parametrize("shape", [(13, 8), (1, 9), (9, 1), (1, 1)],
+                         ids=["13x8", "1x9", "9x1", "1x1"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_strip_kernels_equal_the_whole_stack_formulas(monkeypatch, strip, shape, n):
+    monkeypatch.setattr(softseg, "STRIP", strip)  # the binding the kernels read
+    rng = np.random.default_rng(7)
+    u = rng.uniform(-40.0, 40.0, (n,) + shape)
+    d = rng.uniform(-9.0, 9.0, (n,) + shape)
+    eta = 0.3711
+    trial = u - d * eta
+    assert np.array_equal(softmax(u), _softmax_whole(u))
+    assert np.array_equal(softmax(u, d, eta), _softmax_whole(trial))
+    out = np.full_like(u, np.nan)
+    assert softmax(u, d, eta, out) is out and np.array_equal(out, _softmax_whole(trial))
+    y, g = softmax(u), rng.uniform(-3.0, 3.0, u.shape)
+    want = _chain_softmax_whole(y, g)
+    assert softseg._chain_softmax(y, g) is g and np.array_equal(g, want)
+    moved = u.copy()
+    softseg._step_in_place(moved, d, eta)
+    assert np.array_equal(moved, trial)
+
+
 # ---------------------------------------------------------- soft_centroids
 
 def test_centroids_uniform_memberships_give_global_mean():
@@ -540,11 +593,13 @@ def test_kernels_leave_their_inputs_unchanged(channels, biased):
 
 @pytest.mark.parametrize("quantised", [True, False], ids=["pgm", "float"])
 def test_minimize_ms_peak_memory_in_membership_stacks(quantised):
-    # the descent holds the logits, the memberships, the step direction and
-    # one trial's logits and memberships, and the trial's membership gradient,
-    # which its energy evaluation builds: about 6 stacks of shape (N, H, W);
-    # 7.5 before the kernels worked in place. On unquantised input k-means
-    # clusters every pixel value; its temporaries must fit under the same bound.
+    # the descent holds four stacks of shape (N, H, W): the logits, the step
+    # direction, and a trial's memberships and membership gradient, written
+    # into the stacks of the memberships and of the last direction (about 4.6
+    # stacks traced with the image and the strip buffers; 6.6 when each trial
+    # built its logits and new stacks, 7.5 before the kernels worked in place).
+    # On unquantised input k-means clusters every pixel value and its
+    # temporaries set the peak at about 6.6 stacks.
     size, classes = 256, 2
     image, _, _ = make_phantom("two-phase", size, 0.05, 0)
     if quantised:
@@ -561,16 +616,17 @@ def test_minimize_ms_peak_memory_in_membership_stacks(quantised):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 6.75 * stack, f"traced peak {peak / stack:.2f} stacks"
+    bound = 5.0 if quantised else 6.75
+    assert peak < bound * stack, f"traced peak {peak / stack:.2f} stacks"
 
 
 def test_bias_trials_reuse_the_memberships(monkeypatch):
     softmax_calls, trials = [], []
     real_softmax, real_descend = softseg.softmax, softseg._descend
 
-    def counting_softmax(z):
+    def counting_softmax(z, *args):
         softmax_calls.append(1)
-        return real_softmax(z)
+        return real_softmax(z, *args)
 
     def counting_descend(state_eval, step0, loss_now):
         count = [0]
@@ -592,6 +648,88 @@ def test_bias_trials_reuse_the_memberships(monkeypatch):
     assert len(member) == len(bias) == len(result.trace) - 1
     assert sum(bias) > len(bias)  # the bias block backtracked
     assert len(softmax_calls) == 1 + sum(member)  # the start, then one per logit trial
+
+
+def test_logit_trials_write_into_the_memberships_and_the_last_direction(monkeypatch):
+    # the start builds the memberships and the gradient; every logit trial
+    # writes its memberships into that one stack, and its gradient into the
+    # stack of the direction before last, so two gradient stacks take turns
+    softmax_calls, grads = [], []
+    real_softmax, real_energy = softseg.softmax, softseg.energy
+
+    def recording_softmax(z, *args):
+        y = real_softmax(z, *args)
+        softmax_calls.append((args, y))
+        return y
+
+    def recording_energy(*args, **kwargs):
+        grads.append(kwargs.get("grad_out", args[8] if len(args) > 8 else None))
+        return real_energy(*args, **kwargs)
+
+    monkeypatch.setattr(softseg, "softmax", recording_softmax)
+    monkeypatch.setattr(softseg, "energy", recording_energy)
+    image, _, _ = make_phantom("four-phase", 24, 0.05, 0)
+    result = minimize_ms(image, MsConfig(num_classes=3, max_iters=6), init="kmeans")
+    assert len(result.trace) == 7 and len(softmax_calls) > 6
+    (start_args, y), trials = softmax_calls[0], softmax_calls[1:]
+    assert start_args == ()
+    for args, out in trials:
+        d, eta, buf = args
+        assert buf is y and out is y and d.shape == y.shape and eta > 0
+    assert result.seg.memberships is y
+    assert np.array_equal(y, softmax(result.seg.logits))
+    assert all(g is not None for g in grads)
+    assert len({id(g) for g in grads}) == 2
+
+
+def _exhausting_descend(monkeypatch, exhaust, seen):
+    """Wrap _descend: the calls numbered in exhaust run their trials, then
+    report exhaustion. Every trial's (u, y) is copied into seen."""
+    real_descend, calls = softseg._descend, []
+
+    def descend(state_eval, step0, loss_now):
+        def recorded(eta):
+            cand, terms = state_eval(eta)
+            seen.append((len(calls), cand[0].copy(), cand[1].copy()))
+            return cand, terms
+
+        result = real_descend(recorded, step0, loss_now)
+        calls.append(result[2])
+        return (None, None, True, None) if len(calls) - 1 in exhaust else result
+
+    monkeypatch.setattr(softseg, "_descend", descend)
+    return calls
+
+
+def test_an_exhausted_logit_block_restores_the_memberships(monkeypatch):
+    seen = []
+    calls = _exhausting_descend(monkeypatch, {2}, seen)
+    image, _, _ = make_phantom("four-phase", 24, 0.05, 0)
+    with pytest.raises(ConvergenceError) as info:
+        minimize_ms(image, MsConfig(num_classes=3, max_iters=6), init="kmeans")
+    assert calls == [False, False, False]  # the third was accepted, then refused
+    result = info.value.result
+    assert len(result.trace) == 3 and result.stop == "stalled"
+    last_u, last_y = [(u, y) for k, u, y in seen if k == 2][-1]
+    assert np.array_equal(result.seg.logits, last_u)  # a trial does not move u
+    assert not np.array_equal(result.seg.memberships, last_y)
+    assert np.array_equal(result.seg.memberships, softmax(result.seg.logits))
+    assert np.array_equal(result.labels, hard_mask(result.seg))
+
+
+def test_the_bias_block_goes_on_after_an_exhausted_logit_block(monkeypatch):
+    # calls alternate logit and bias block; the second logit block (call 2) exhausts
+    seen = []
+    calls = _exhausting_descend(monkeypatch, {2}, seen)
+    image, _, _ = make_phantom("ramp-bias", 32, 0.02, 0)
+    cfg = MsConfig(num_classes=2, step_size=2.0, max_iters=4, tv_eps=1e-2)
+    result = minimize_ms_bias(image, cfg, 0.1, init="kmeans")
+    assert len(calls) == 8 and len(result.trace) == 5
+    bias_trials = [(u, y) for k, u, y in seen if k == 3]
+    assert bias_trials
+    for u, y in bias_trials:  # the bias block tries b on the restored memberships
+        assert np.array_equal(y, softmax(u))
+    assert np.array_equal(result.seg.memberships, softmax(result.seg.logits))
 
 
 def test_minimize_ms_keeps_a_class_empty_at_the_start_finite():
