@@ -61,15 +61,23 @@ class LevelSetState:
             raise ValueError(f"lambda_tv must be >= 0, got {self.lambda_tv}")
 
 
-def memberships(state):
-    """Smoothed characteristic functions of the 2^p classes, shape (N, H, W)."""
+def memberships(state, out=None):
+    """Smoothed characteristic functions of the 2^p classes, shape (N, H, W),
+    written into out when given."""
     h = heaviside_eps(state.phi, state.eps_h)
+    if out is None:
+        out = np.empty((2 ** state.phi.shape[0],) + h.shape[1:])
     if state.phi.shape[0] == 1:
-        return np.stack([1.0 - h[0], h[0]])
+        np.subtract(1.0, h[0], out=out[0])
+        out[1] = h[0]
+        return out
     h1, h2 = h[0], h[1]
-    return np.stack(
-        [(1 - h1) * (1 - h2), (1 - h1) * h2, h1 * (1 - h2), h1 * h2]
-    )
+    g1, g2 = 1 - h1, 1 - h2
+    np.multiply(g1, g2, out=out[0])
+    np.multiply(g1, h2, out=out[1])
+    np.multiply(h1, g2, out=out[2])
+    np.multiply(h1, h2, out=out[3])
+    return out
 
 
 def region_means(x, state):
@@ -239,7 +247,7 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
         x, cfg,
         initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed).phi,
         lambda phi, d=None, eta=0.0, out=None: memberships(
-            LevelSetState(phi if d is None else phi - d * eta, eps_h)),
+            LevelSetState(phi if d is None else phi - d * eta, eps_h), out),
         lambda phi, y, c, b, g: -_velocity(x, phi, c, eps_h, lambda_tv), fixed_step=True)
     labels = hard_labels(LevelSetState(phi, eps_h))
     means = np.zeros((cfg.num_classes, x.shape[2]))

@@ -109,6 +109,21 @@ def test_region_means_match_loop_oracle():
     assert np.max(np.abs(memberships(state) - chi)) < 1e-12
 
 
+@pytest.mark.parametrize("phases", [1, 2])
+def test_memberships_write_into_out_as_the_stacked_formulas(phases):
+    phi = np.random.default_rng(4).uniform(-3.0, 3.0, (phases, 7, 5))
+    h = heaviside_eps(phi, 1.3)
+    if phases == 1:
+        want = np.stack([1.0 - h[0], h[0]])
+    else:
+        h1, h2 = h
+        want = np.stack([(1 - h1) * (1 - h2), (1 - h1) * h2, h1 * (1 - h2), h1 * h2])
+    state = LevelSetState(phi=phi, eps_h=1.3)
+    assert np.array_equal(memberships(state), want)
+    out = np.full_like(want, np.nan)
+    assert memberships(state, out) is out and np.array_equal(out, want)
+
+
 # --------------------------------------------------------- evolve_step
 
 def test_curvature_matches_loop_oracle():
