@@ -18,8 +18,9 @@ an (N, H, W, C) residual, and leave their inputs unchanged (_chain_softmax
 alone overwrites the gradient it is given). softmax and _chain_softmax walk
 column strips of grid.STRIP pixels and allocate no plane at all. The fused
 loss-and-gradient pass, energy(..., grad_out=g), builds the residual in g and
-keeps every temporary strip-sized: the data term is summed and the TV value
-and gradient are taken over strips of grid.STRIP elements. A logit trial
+keeps every temporary strip-sized: the data term is one np.einsum dot of
+the residual and the memberships, with or without g, and the TV value and
+gradient are taken over strips of grid.STRIP elements. A logit trial
 never forms its logits: softmax(u, d, eta, out) takes them strip by strip,
 into a stack the descent reuses (see block_descent).
 """
@@ -196,17 +197,6 @@ def sq_residual(x, c, b=None):
     return _residual_sums(x, c, b)
 
 
-def _strip_dot(a, v):
-    """sum(a * v) of two contiguous arrays, multiplied STRIP elements at a time."""
-    a, v = a.reshape(-1), v.reshape(-1)
-    buf = np.empty(min(STRIP, a.size))
-    total = 0.0
-    for i in range(0, a.size, STRIP):
-        p = buf[: min(STRIP, a.size - i)]
-        total += float(np.sum(np.multiply(a[i : i + STRIP], v[i : i + STRIP], out=p)))
-    return total
-
-
 def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0, tv_y=None, grad_out=None):
     """sum_n sum_r ||x - b c_n||^2 y_n + lambda_tv sum_n TV(y_n) [+ gamma TV(b)]
     as (loss, data, tv_y), with tv_b appended when b is given. A known
@@ -215,17 +205,17 @@ def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0, tv_y=None, grad_out=No
 
     Given an (N, H, W) grad_out (and no tv_y), the same pass writes into it the
     gradient in the memberships with c (and b) frozen,
-    ||x - b c_n||^2 + lambda_tv grad TV(y_n): the residual is built there and
-    the data term summed strip by strip, so no (N, H, W) product is formed.
+    ||x - b c_n||^2 + lambda_tv grad TV(y_n). The data term is one dot
+    product of the residual and the memberships, with or without grad_out;
+    the residual is built in grad_out when given, so no (N, H, W) product is
+    formed. The dot is np.einsum's, not BLAS ddot's (np.vdot), which splits
+    its sum across BLAS threads and so rounds by the thread count.
     """
-    if grad_out is None:
-        sq = sq_residual(x, c, b)
-        data = float(np.sum(np.multiply(sq, y, out=sq)))
-        del sq
-    else:
-        if tv_y is not None:
-            raise ValueError("grad_out needs the TV term computed, not passed as tv_y")
-        data = _strip_dot(_residual_sums(x, c, b, out=grad_out), y)
+    if grad_out is not None and tv_y is not None:
+        raise ValueError("grad_out needs the TV term computed, not passed as tv_y")
+    residual = _residual_sums(x, c, b, out=grad_out)
+    data = float(np.einsum("i,i->", residual.reshape(-1), y.reshape(-1)))
+    del residual
     if tv_y is None:
         tv_y = 0.0
         if lambda_tv != 0.0:
@@ -347,7 +337,8 @@ def hard_mask(seg):
     return np.argmax(seg.memberships, axis=0)
 
 
-# Lloyd sweeps per k-means restart, and seeded restarts per kmeans_labels call.
+# Most Lloyd sweeps per k-means restart (a restart stops earlier at its fixed
+# point), and seeded restarts per kmeans_labels call.
 KMEANS_ITERS, KMEANS_RESTARTS = 20, 8
 
 
@@ -368,11 +359,14 @@ def _kmeans_once(vals, weights, inverse, num_classes, rng):
             idx = rng.integers(len(inverse))
         centers[k] = vals[inverse[idx]]
         d2 = np.minimum(d2, sq_residual(pts, centers[k:k + 1])[0, :, 0])
+    # once an assignment repeats the last one, so would every later sweep's
+    prev = None
     for sweep in range(KMEANS_ITERS + 1):
         dists = sq_residual(pts, centers)[:, :, 0]
         labels = np.argmin(dists, axis=0)
-        if sweep == KMEANS_ITERS:
+        if sweep == KMEANS_ITERS or np.array_equal(labels, prev):
             break
+        prev = labels
         for k in range(num_classes):
             sel = labels == k
             if sel.any():
@@ -406,7 +400,8 @@ def _distinct_rows(pts):
 
 def kmeans_labels(x, num_classes, seed):
     """Lloyd's algorithm on pixel values: the best of KMEANS_RESTARTS seeded
-    restarts of KMEANS_ITERS sweeps each.
+    restarts of at most KMEANS_ITERS sweeps each. A restart stops once an
+    assignment repeats the previous one: its centers then repeat bit for bit.
 
     Clusters the distinct values weighted by their pixel counts, which gives
     the labels of the same algorithm run on every pixel (centers agree up to

@@ -359,3 +359,25 @@ def test_thread_cap_reaches_blas():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert int(out) == 1
+
+
+def test_levelset_is_identical_under_one_and_two_blas_threads(tmp_path):
+    # BLAS sizes its thread pool when numpy is first imported, so each thread
+    # count runs in a fresh interpreter; the energy's data term must not take
+    # a BLAS dot product, whose sum is split across threads
+    data = synth(tmp_path, size=128)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(msvar.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    codes = []
+    for threads in ("1", "2"):
+        env["MSVAR_THREADS"] = threads
+        argv = ["segment", "--solver", "levelset", "--phases", "1", "--lambda", "1e-2",
+                "--dt", "1", "--eps-h", "1", "--max-iters", "30",
+                str(data / "image.pgm"), str(tmp_path / threads)]
+        codes.append(subprocess.run([sys.executable, "-m", "msvar.cli", *argv], env=env,
+                                    capture_output=True, timeout=120).returncode)
+    assert codes[0] in (0, 3) and codes[0] == codes[1]
+    for name in ("mask.pgm", "trace.csv", "run.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

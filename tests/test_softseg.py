@@ -504,6 +504,27 @@ def test_kmeans_matches_per_pixel_oracle_on_phantoms(kind, num_classes, noise_se
             _assert_matches_kmeans_oracle(image, num_classes, seed)
 
 
+def test_kmeans_stops_at_its_fixed_point(monkeypatch):
+    x = np.where(np.arange(12 * 10).reshape(12, 10) % 7 < 3, 0.2, 0.9)
+    sweeps = []
+    real_once, real_sq = softseg._kmeans_once, softseg.sq_residual
+
+    def once(*args):
+        sweeps.append(0)
+        return real_once(*args)
+
+    def sq_residual(pts, c, b=None):
+        if len(c) == 2:  # an assignment, not a k-means++ seed distance
+            sweeps[-1] += 1
+        return real_sq(pts, c, b)
+
+    monkeypatch.setattr(softseg, "_kmeans_once", once)
+    monkeypatch.setattr(softseg, "sq_residual", sq_residual)
+    _assert_matches_kmeans_oracle(x, 2, 0)
+    assert len(sweeps) == softseg.KMEANS_RESTARTS
+    assert max(sweeps) <= 2
+
+
 def _uniform(shape):
     return np.random.default_rng(7).random(shape)
 
@@ -790,6 +811,15 @@ def test_energy_builds_the_membership_gradient(monkeypatch, strip, shape, channe
     for term, w in zip(got[1:], want[1:]):
         assert term == pytest.approx(w, rel=1e-14, abs=1e-300)
     assert got[0] == pytest.approx(energy(x, y, c, lam, 1e-3, b, 0.3)[0], rel=1e-14)
+    assert got == energy(x, y, c, lam, 1e-3, b, 0.3)  # one data-term formula
+
+
+@pytest.mark.parametrize("noise_seed, init", [(1, "kmeans"), (0, "random")])
+def test_minimize_ms_trace_ends_on_the_loss_of_its_result(noise_seed, init):
+    image, _, _ = make_phantom("two-phase", 256, 0.05, noise_seed)
+    cfg = MsConfig(num_classes=2, max_iters=10)
+    result = minimize_ms(image, cfg, init=init)
+    assert tuple(result.trace[-1]) == ms_loss(image, result.seg, cfg)
 
 
 def test_energy_with_gradient_needs_the_tv_term():
