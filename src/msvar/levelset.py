@@ -5,7 +5,9 @@ Heaviside surrogate H_eps(phi) = (1 + (2/pi) atan(phi/eps)) / 2 makes region
 memberships differentiable and its derivative delta_eps localizes the
 updates near the zero level sets. Evolution is explicit Euler on the
 curvature + region-competition velocities, with region means refreshed every
-step and the step halved while the energy rises.
+step and the step halved while the energy rises. That energy is the softseg
+one with the TV weight lambda / 2: each boundary enters the TV of the two
+regions it separates, and the velocity descends lambda times its length.
 """
 
 from dataclasses import dataclass, replace
@@ -187,12 +189,15 @@ def evolve_step(x, state):
 def levelset_energy(x, state, tv_eps=1e-8):
     """Piecewise-constant energy of the smoothed partition.
 
-    data = sum_n sum_r ||x - c_n||^2 chi_n, tv = lambda * sum_n TV(chi_n);
-    returns (energy, data, tv).
+    data = sum_n sum_r ||x - c_n||^2 chi_n, tv = (lambda / 2) * sum_n TV(chi_n);
+    returns (energy, data, tv). Every boundary between two regions enters the
+    TV of both characteristic functions, so the weight lambda / 2 makes tv
+    lambda times the boundary length, the length term the curvature velocity
+    descends (Chan & Vese 2001; Vese & Chan 2002).
     """
     x = as_image(x)
     chi = memberships(state)
-    return energy(x, chi, weighted_means(x, chi), state.lambda_tv, tv_eps)
+    return energy(x, chi, weighted_means(x, chi), 0.5 * state.lambda_tv, tv_eps)
 
 
 def hard_labels(state):
@@ -237,7 +242,8 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
     x = as_image(x)
     if phases not in (1, 2):
         raise ValueError(f"phases must be 1 or 2, got {phases}")
-    cfg = MsConfig(num_classes=2 ** phases, lambda_tv=lambda_tv, step_size=dt,
+    # the energy's TV weight is levelset_energy's lambda / 2
+    cfg = MsConfig(num_classes=2 ** phases, lambda_tv=0.5 * lambda_tv, step_size=dt,
                    max_iters=max_iters, rel_tol=rel_tol, tv_eps=tv_eps, seed=seed)
     cfg.validate()
     _check_cfl(dt, lambda_tv)

@@ -9,8 +9,12 @@ satisfied by construction. The objective is
 with c_n the membership-weighted class means, minimized by alternating
 centroid refreshes with gradient steps on the logits.
 
-The bias and level-set solvers minimise the same energy (fit b(r) c_n,
-Heaviside memberships); it and the one iteration driver, iterate, live here.
+The bias and level-set solvers minimise the same energy (fit b(r) c_n;
+Heaviside memberships, with TV weight lambda / 2); it and the one iteration
+driver, iterate, live here. energy is also the one formula of its gradient in
+the memberships: energy(..., grad_out=g) builds the g that block_descent
+hands the direction of ms and ms-bias (None for the level set, whose
+velocity is not an energy gradient) and the one ms_loss_grad pulls back.
 
 The kernels on the descent path work in place and one class (and channel) at
 a time: they allocate what they return and at most a few (H, W) planes, never
@@ -197,11 +201,12 @@ def sq_residual(x, c, b=None):
     return _residual_sums(x, c, b)
 
 
-def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0, tv_y=None, grad_out=None):
+def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0, tv_y=None, grad_out=None, tv_b=None):
     """sum_n sum_r ||x - b c_n||^2 y_n + lambda_tv sum_n TV(y_n) [+ gamma TV(b)]
     as (loss, data, tv_y), with tv_b appended when b is given. A known
-    lambda_tv sum_n TV(y_n) may be passed as tv_y; it is then not recomputed.
-    A zero lambda_tv or gamma skips its TV term, which is then exactly 0.
+    lambda_tv sum_n TV(y_n) may be passed as tv_y, and a known gamma TV(b) as
+    tv_b; they are then not recomputed. A zero lambda_tv or gamma skips its TV
+    term, which is then exactly 0.
 
     Given an (N, H, W) grad_out (and no tv_y), the same pass writes into it the
     gradient in the memberships with c (and b) frozen,
@@ -224,7 +229,8 @@ def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0, tv_y=None, grad_out=No
                                    for n in range(y.shape[0]))
     if b is None:
         return data + tv_y, data, tv_y
-    tv_b = gamma * tv_smooth(b, tv_eps) if gamma != 0.0 else 0.0
+    if tv_b is None:
+        tv_b = gamma * tv_smooth(b, tv_eps) if gamma != 0.0 else 0.0
     return data + tv_y + tv_b, data, tv_y, tv_b
 
 
@@ -256,15 +262,6 @@ def _chain_softmax(y, grad_y):
     return grad_y
 
 
-def grad_memberships(x, y, c, cfg, b=None):
-    """Gradient of the energy in the memberships, class means (and b) frozen."""
-    g = sq_residual(x, c, b)
-    if cfg.lambda_tv != 0.0:
-        for n in range(y.shape[0]):
-            tv_smooth(y[n], cfg.tv_eps, g[n], cfg.lambda_tv)
-    return g
-
-
 def grad_b(x, y, b, c, tv_eps, gamma):
     """Gradient of the energy in b, memberships and class means frozen.
 
@@ -291,7 +288,8 @@ def ms_loss_grad(x, seg, cfg, mode="frozen-centroids"):
     x = as_image(x)
     y = seg.memberships
     c = weighted_means(x, y)
-    grad_y = grad_memberships(x, y, c, cfg)
+    grad_y = np.empty_like(y)
+    energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, grad_out=grad_y)
     if mode == "full":
         # d data / d c_n = -2 sum_r (x - c_n) y_n, nonzero only through the
         # EPS_DEN guard since c_n is the exact weighted mean otherwise.
@@ -488,8 +486,7 @@ def _bb_step(s_s, s_dg, last):
     return last
 
 
-def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False,
-                  fixed_step=False):
+def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=False):
     """Block-coordinate descent on the energy over memberships y = members(u)
     (and a bias field b).
 
@@ -512,23 +509,25 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False,
     it: eta ||d'||^2 / (||d'||^2 - d'.d) for u, with d' the direction u last
     moved along by eta, and db.db / db.dg for b, with db the clamped change in
     b and dg the change in the gradient in b. Where s.dg <= 0 or the ratio is
-    not finite, the block's last accepted step is reused. With fixed_step set
-    (the level-set Euler step), every first trial step is cfg.step_size.
+    not finite, the block's last accepted step is reused.
 
-    With eager set and no b, every evaluation also builds g, the energy's
-    gradient in the memberships (energy's grad_out), which the direction may
-    overwrite; otherwise g is None. The trials of a step write g into the
-    stack of d' once its dot products are taken. A bias step moves c and b
-    after the member trial, so with b given the gradient would be stale and
-    is not built.
+    With fixed_step set (the level-set Euler step, whose direction is not an
+    energy gradient), every first trial step is cfg.step_size and g is None.
+    Otherwise g is the energy's gradient in the memberships at the current
+    state, c (and b) frozen, built by energy's grad_out; the direction may
+    overwrite it. The start's evaluation builds it, and without b so does
+    every logit trial, into the stack of d' once its dot products are taken.
+    A bias step moves c and b after the logit trials, so with b given they
+    build none, and the logit block builds g itself before the direction,
+    as it does after it exhausted.
     """
-    eager = eager and b is None
     u = np.ascontiguousarray(u, dtype=np.float64)
 
-    def evaluate(u, y, b, tv_y=None, g=None):
-        # a trial that leaves u unchanged passes lambda sum_n TV(y_n) as tv_y
+    def evaluate(u, y, b, tv_y=None, g=None, tv_b=None):
+        # a trial that leaves u unchanged passes lambda sum_n TV(y_n) as tv_y,
+        # one that leaves b unchanged gamma TV(b) as tv_b
         c = weighted_means(x, y, b)
-        terms = energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g)
+        terms = energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g, tv_b)
         return (u, y, c, b, g), terms
 
     # per block: its last accepted step, and what its BB ratio keeps of that
@@ -539,17 +538,24 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False,
     # step and what the BB ratio keeps of it, or with None for all three when
     # its backtracking exhausts
     def member_block(u, y, c, b, g):
+        if g is None and not fixed_step:  # a bias step or an exhausted block left none
+            g = np.empty_like(y)
+            energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, grad_out=g)
         d = direction(u, y, c, b, g)
         step0, spare, prev[0] = steps[0], prev[0], None
         if spare is not None:
             dd, dp = np.vdot(spare, spare), np.vdot(spare, d)
             step0 = _bb_step(step0 * dd, dd - dp, step0)
-        g = None
-        if eager:  # d' is not needed past its dot products; its stack takes the trials' g
+        # with b, a trial leaves b and gamma TV(b) as they are; without, d' is not
+        # needed past its dot products and its stack takes the trials' g
+        g = tv_b = None
+        if b is not None:
+            tv_b = terms[3]
+        elif not fixed_step:
             g = np.empty_like(d) if spare is None else spare
         del spare
         cand, cand_terms, exhausted, eta = _descend(
-            lambda eta: evaluate(u, members(u, d, eta, y), b, g=g), step0, terms[0])
+            lambda eta: evaluate(u, members(u, d, eta, y), b, g=g, tv_b=tv_b), step0, terms[0])
         if exhausted:  # y holds a trial's memberships
             return (u, members(u, out=y), c, b, None), None, None, None
         _step_in_place(u, d, eta)
@@ -571,7 +577,7 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, eager=False,
 
     blocks = (member_block,) if b is None else (member_block, bias_block)
     y = members(u)
-    state, terms = evaluate(u, y, b, g=np.empty_like(y) if eager else None)
+    state, terms = evaluate(u, y, b, g=None if fixed_step else np.empty_like(y))
     del u, y, b  # state holds the current arrays
 
     def step():
@@ -597,14 +603,10 @@ def _softmax_descent(x, cfg, init, gamma=None):
     argmax of the memberships; raises ConvergenceError carrying it when every
     block stalls."""
 
-    def direction(z, y, c, b, g):
-        # g is None only with the bias block on; then it is taken here, after the bias step
-        return _chain_softmax(y, grad_memberships(x, y, c, cfg, b) if g is None else g)
-
     # the initial arrays are passed inline so that no frame keeps them alive
     (z, y, c, b), trace, stop = block_descent(
-        x, cfg, init_logits(x, cfg, init), softmax, direction,
-        None if gamma is None else np.ones(x.shape[:2]), gamma, eager=True)
+        x, cfg, init_logits(x, cfg, init), softmax, lambda z, y, c, b, g: _chain_softmax(y, g),
+        None if gamma is None else np.ones(x.shape[:2]), gamma)
     seg = SoftSegmentation(logits=z, memberships=y)
     result = Result(hard_mask(seg), c, trace, stop, seg, b)
     if stop == "stalled":

@@ -3,7 +3,7 @@ import pytest
 
 from msvar import levelset, softseg
 from msvar.errors import ConvergenceError
-from msvar.grid import tv_smooth
+from msvar.grid import tv_smooth, tv_smooth_grad
 from msvar.levelset import (
     LevelSetState,
     curvature_central,
@@ -301,3 +301,31 @@ def test_segment_evaluates_each_accepted_step_once(monkeypatch):
     result, _ = run_segment(image, phases=1, lambda_tv=1e-2, dt=0.5, max_iters=50, rel_tol=1e-12)
     assert len(result.trace) == 51  # no step rejected
     assert counts == {"weighted_means": 51, "memberships": 51}
+
+
+def test_the_traced_tv_term_descends_along_the_curvature_velocity(monkeypatch):
+    # For p = 1, chi_0 = 1 - H and chi_1 = H have the same TV, so sum_n TV(chi_n)
+    # counts every boundary twice; the traced weight lambda / 2 makes the TV
+    # term's gradient, pulled back through H, the velocity's curvature term.
+    lam = 1e-2
+    seen = []
+    real = levelset.block_descent
+
+    def recording(x, cfg, u, *args, **kwargs):
+        seen.append((cfg, u.copy()))
+        return real(x, cfg, u, *args, **kwargs)
+
+    monkeypatch.setattr(levelset, "block_descent", recording)
+    image, _, _ = make_phantom("two-phase", 128, 0.05, 0)
+    run_segment(image, phases=1, lambda_tv=lam, max_iters=1)
+    (cfg, phi), = seen
+    state = LevelSetState(phi, lambda_tv=lam)
+    chi = memberships(state)
+    delta = delta_eps(phi[0], state.eps_h)
+    pulled = delta * cfg.lambda_tv * (tv_smooth_grad(chi[1], cfg.tv_eps)
+                                      - tv_smooth_grad(chi[0], cfg.tv_eps))
+    curvature = delta * lam * curvature_central(phi[0])
+    sel = np.abs(curvature) > 0.1 * np.abs(curvature).max()
+    assert 0.8 <= np.median(-pulled[sel] / curvature[sel]) <= 1.25
+    tv = levelset_energy(image, state, cfg.tv_eps)[2]
+    assert tv == (0.5 * lam) * sum(tv_smooth(chi[n], cfg.tv_eps) for n in range(2))

@@ -16,7 +16,6 @@ from msvar.softseg import (
     energy,
     fixed_point_step,
     grad_b,
-    grad_memberships,
     hard_mask,
     init_logits,
     iterate,
@@ -590,7 +589,6 @@ def test_kernels_leave_their_inputs_unchanged(channels, biased):
         "sq_residual": lambda: sq_residual(x, c, b),
         "energy": lambda: energy(x, y, c, 0.1, 1e-2, b, 0.5),
         "energy-grad_out": lambda: energy(x, y, c, 0.1, 1e-2, b, 0.5, grad_out=np.empty_like(y)),
-        "grad_memberships": lambda: grad_memberships(x, y, c, cfg, b),
         "ms_loss_grad-frozen": lambda: ms_loss_grad(x, seg, cfg, "frozen-centroids"),
         "ms_loss_grad-full": lambda: ms_loss_grad(x, seg, cfg, "full"),
         "fixed_point_step": lambda: fixed_point_step(x, seg, cfg),
@@ -612,17 +610,21 @@ def test_kernels_leave_their_inputs_unchanged(channels, biased):
         assert not changed, f"{call_name} wrote into {changed}"
 
 
-@pytest.mark.parametrize("quantised", [True, False], ids=["pgm", "float"])
-def test_minimize_ms_peak_memory_in_membership_stacks(quantised):
+@pytest.mark.parametrize("quantised, biased", [
+    (True, False), (False, False), (True, True), (False, True),
+], ids=["pgm", "float", "bias-pgm", "bias-float"])
+def test_minimize_ms_peak_memory_in_membership_stacks(quantised, biased):
     # the descent holds four stacks of shape (N, H, W): the logits, the step
     # direction, and a trial's memberships and membership gradient, written
     # into the stacks of the memberships and of the last direction (about 4.6
     # stacks traced with the image and the strip buffers; 6.6 when each trial
     # built its logits and new stacks, 7.5 before the kernels worked in place).
     # On unquantised input k-means clusters every pixel value and its
-    # temporaries set the peak at about 6.6 stacks.
+    # temporaries set the peak at about 6.6 stacks. With a bias field,
+    # weighted_means forms the products of y and b as whole stacks, which sets
+    # the peak at about 7.0 stacks on either input.
     size, classes = 256, 2
-    image, _, _ = make_phantom("two-phase", size, 0.05, 0)
+    image, _, _ = make_phantom("ramp-bias" if biased else "two-phase", size, 0.05, 0)
     if quantised:
         image = np.round(np.clip(image, 0.0, 1.0) * 255) / 255  # as read from a PGM
     stack = classes * size * size * np.dtype(np.float64).itemsize
@@ -632,12 +634,16 @@ def test_minimize_ms_peak_memory_in_membership_stacks(quantised):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        minimize_ms(image, MsConfig(num_classes=classes, max_iters=5), init="kmeans")
+        if biased:
+            cfg = MsConfig(num_classes=classes, step_size=2.0, max_iters=5, tv_eps=1e-2)
+            minimize_ms_bias(image, cfg, 0.1, init="kmeans")
+        else:
+            minimize_ms(image, MsConfig(num_classes=classes, max_iters=5), init="kmeans")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    bound = 5.0 if quantised else 6.75
+    bound = 7.5 if biased else 5.0 if quantised else 6.75
     assert peak < bound * stack, f"traced peak {peak / stack:.2f} stacks"
 
 
@@ -853,7 +859,6 @@ def test_ms_iterations_take_the_gradient_from_the_trial_evaluation(monkeypatch):
     calls, trials = {}, []
     _counting(monkeypatch, softseg, "tv_smooth", calls)
     _counting(monkeypatch, softseg, "tv_smooth_grad", calls)
-    _counting(monkeypatch, softseg, "grad_memberships", calls)
     real_descend = softseg._descend
 
     def counting_descend(state_eval, step0, loss_now):
@@ -868,6 +873,68 @@ def test_ms_iterations_take_the_gradient_from_the_trial_evaluation(monkeypatch):
     result = minimize_ms(image, MsConfig(num_classes=3, max_iters=3), init="kmeans")
     assert len(result.trace) == 4 and len(trials) >= 3
     assert calls == {"tv_smooth": 3 * (1 + len(trials))}
+
+
+def test_ms_bias_directions_take_the_gradient_at_the_state_the_bias_step_left(monkeypatch):
+    # a bias step moves b and the means after the logit trials, so the gradient
+    # the next direction pulls back is built at the new state, never reused
+    chained, fields = [], []
+    real_chain, real_grad_b = softseg._chain_softmax, softseg.grad_b
+
+    def recording_chain(y, g):
+        chained.append((y.copy(), g.copy()))  # the call overwrites g
+        return real_chain(y, g)
+
+    def recording_grad_b(x, y, b, *args):
+        fields.append(b.copy())
+        return real_grad_b(x, y, b, *args)
+
+    monkeypatch.setattr(softseg, "_chain_softmax", recording_chain)
+    monkeypatch.setattr(softseg, "grad_b", recording_grad_b)
+    image, _, _ = make_phantom("ramp-bias", 32, 0.02, 0)
+    cfg = MsConfig(num_classes=2, step_size=2.0, max_iters=6, tv_eps=1e-2)
+    result = minimize_ms_bias(image, cfg, 0.1, init="kmeans")
+    assert len(chained) == len(fields) == len(result.trace) - 1
+    assert not np.array_equal(fields[1], fields[0])  # the bias block moved b
+    for (y, g), b in zip(chained, fields):  # each grad_b call follows its direction
+        c = weighted_means(image, y, b)
+        want = sq_residual(image, c, b) + np.stack(
+            [cfg.lambda_tv * tv_smooth_grad(yn, cfg.tv_eps) for yn in y])
+        assert np.array_equal(g, want)
+
+
+def test_logit_trials_reuse_the_tv_of_b(monkeypatch):
+    # a logit trial leaves b as it is and passes gamma TV(b) on, so TV(b) is
+    # taken only at the start, by each iteration's gradient in b and by each
+    # bias trial
+    bias_fields, trials = [], []
+    real_tv, real_descend = softseg.tv_smooth, softseg._descend
+
+    def recording_tv(f, *args):
+        if f.base is None or f.base.ndim != 3:  # not a row of the membership stack
+            bias_fields.append(1)
+        return real_tv(f, *args)
+
+    def counting_descend(state_eval, step0, loss_now):
+        count = [0]
+
+        def counted(eta):
+            count[0] += 1
+            return state_eval(eta)
+
+        result = real_descend(counted, step0, loss_now)
+        trials.append((count[0], result[2]))
+        return result
+
+    monkeypatch.setattr(softseg, "tv_smooth", recording_tv)
+    monkeypatch.setattr(softseg, "_descend", counting_descend)
+    image, _, _ = make_phantom("ramp-bias", 32, 0.02, 0)
+    cfg = MsConfig(num_classes=2, step_size=2.0, max_iters=6, tv_eps=1e-2)
+    result = minimize_ms_bias(image, cfg, 0.1, init="kmeans")
+    iterations = len(result.trace) - 1
+    assert len(trials) == 2 * iterations and not any(exhausted for _, exhausted in trials)
+    bias_trials = sum(count for count, _ in trials[1::2])
+    assert len(bias_fields) == 1 + iterations + bias_trials
 
 
 # ------------------------------------------------ Barzilai-Borwein trial steps
