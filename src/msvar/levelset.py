@@ -242,11 +242,11 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
     x = as_image(x)
     if phases not in (1, 2):
         raise ValueError(f"phases must be 1 or 2, got {phases}")
-    # the energy's TV weight is levelset_energy's lambda / 2
-    cfg = MsConfig(num_classes=2 ** phases, lambda_tv=0.5 * lambda_tv, step_size=dt,
+    cfg = MsConfig(num_classes=2 ** phases, lambda_tv=lambda_tv, step_size=dt,
                    max_iters=max_iters, rel_tol=rel_tol, tv_eps=tv_eps, seed=seed)
     cfg.validate()
     _check_cfl(dt, lambda_tv)
+    cfg.lambda_tv *= 0.5  # the energy's TV weight, as in levelset_energy
 
     # the initial level functions are passed inline so that no frame keeps them alive
     (phi, _, _, _), trace, stop = block_descent(

@@ -329,3 +329,5 @@ def test_the_traced_tv_term_descends_along_the_curvature_velocity(monkeypatch):
     assert 0.8 <= np.median(-pulled[sel] / curvature[sel]) <= 1.25
     tv = levelset_energy(image, state, cfg.tv_eps)[2]
     assert tv == (0.5 * lam) * sum(tv_smooth(chi[n], cfg.tv_eps) for n in range(2))
+    with pytest.raises(ValueError, match="got -0.01$"):  # the weight given, not the traced one
+        segment_levelset(image, lambda_tv=-lam)

@@ -907,33 +907,22 @@ def test_logit_trials_reuse_the_tv_of_b(monkeypatch):
     # a logit trial leaves b as it is and passes gamma TV(b) on, so TV(b) is
     # taken only at the start, by each iteration's gradient in b and by each
     # bias trial
-    bias_fields, trials = [], []
-    real_tv, real_descend = softseg.tv_smooth, softseg._descend
+    bias_fields, seen = [], []
+    real_tv = softseg.tv_smooth
 
     def recording_tv(f, *args):
         if f.base is None or f.base.ndim != 3:  # not a row of the membership stack
             bias_fields.append(1)
         return real_tv(f, *args)
 
-    def counting_descend(state_eval, step0, loss_now):
-        count = [0]
-
-        def counted(eta):
-            count[0] += 1
-            return state_eval(eta)
-
-        result = real_descend(counted, step0, loss_now)
-        trials.append((count[0], result[2]))
-        return result
-
     monkeypatch.setattr(softseg, "tv_smooth", recording_tv)
-    monkeypatch.setattr(softseg, "_descend", counting_descend)
+    calls = _exhausting_descend(monkeypatch, set(), seen)
     image, _, _ = make_phantom("ramp-bias", 32, 0.02, 0)
     cfg = MsConfig(num_classes=2, step_size=2.0, max_iters=6, tv_eps=1e-2)
     result = minimize_ms_bias(image, cfg, 0.1, init="kmeans")
     iterations = len(result.trace) - 1
-    assert len(trials) == 2 * iterations and not any(exhausted for _, exhausted in trials)
-    bias_trials = sum(count for count, _ in trials[1::2])
+    assert calls == [False] * (2 * iterations)  # no block exhausted
+    bias_trials = sum(1 for k, _, _ in seen if k % 2)  # calls alternate logit and bias block
     assert len(bias_fields) == 1 + iterations + bias_trials
 
 
