@@ -53,16 +53,29 @@ def grad_forward(f):
 
 # Elements per row strip (whole rows, at least one) of the two strip-mined
 # kernels, the TV stencil here and levelset.curvature_central; three strip
-# buffers take 384 KiB and stay in a 2 MiB L2 cache. Measured on the TV kernel
-# in minimize_ms: 8192 spends about 15 % more per call at 256^2 and 1024^2
-# (more strips, each with a fixed cost); 32768 is faster at 1024^2 but lifts
-# the traced peak of a 256^2 run from 6.6 to 7.0 (N, H, W) stacks.
+# buffers take 384 KiB and stay in a 2 MiB L2 cache. Measured on the flat
+# kernels (2-vCPU Xeon KVM guest, 1 thread, median of 3 interleaved runs),
+# against 16384: at 8192, TV with its gradient spends 21/14/10 % more per
+# call at 128^2/256^2/1024^2 and the curvature 16/24 % less at 128^2/256^2
+# but 10 % more at 1024^2; at 32768, TV with its gradient spends -2/+47/-6 %
+# and the curvature 0/+16/-4 %, and the traced peak of minimize_ms on a
+# 256^2 PGM-quantised two-phase image rises from 4.4 to 4.8 (N, H, W) stacks.
 STRIP = 16384
 
 
 def strip_rows(w):
     """Rows per strip of a field w columns wide: STRIP elements, at least one row."""
     return max(1, STRIP // max(w, 1))
+
+
+def _forward_x(flat, out):
+    """gx of a strip into its (r, w) buffer out, from the strip's flattened rows.
+
+    One pass of flat[1:] - flat[:-1]; the row wraps it also takes land in
+    out's last column, which is then set to 0 (the replicate boundary).
+    """
+    np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
+    out[:, -1:] = 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a bad field is reported by the check at the end
@@ -76,7 +89,14 @@ def tv_smooth(f, eps=1e-8, grad_out=None, scale=1.0):
 
     The field is processed in row strips of about STRIP elements, so every
     temporary is strip-sized; the divergence of a strip's first row takes
-    the last row of the strip above (a one-row halo).
+    the last row of the strip above (a one-row halo). Each x-difference is
+    one 1-D pass over the strip's flattened rows: gx is flat[1:] - flat[:-1],
+    whose row wraps (a row's last value to the next row's first) land in the
+    last column and are zeroed before use, and the divergence's x-part is
+    qx.flat[1:] - qx.flat[:-1], exact at a row's first column because it
+    subtracts that zeroed column (x - 0 = x). Every valid element sees the
+    operands of the 2-D stencil in the same order, so the strip length and
+    the flattening do not show in the result.
 
     Raises ValueError when the total is not finite: on an inf or nan value
     (every pixel of a field of two or more enters a difference; a lone pixel
@@ -90,15 +110,16 @@ def tv_smooth(f, eps=1e-8, grad_out=None, scale=1.0):
         raise ValueError(f"scalar field must be 2-D, got shape {f.shape}")
     h, w = f.shape
     rows = strip_rows(w)
-    gx = np.zeros((min(rows, h), w))  # its last column stays 0
+    gx = np.empty((min(rows, h), w))
     gy, mag = np.empty_like(gx), np.empty_like(gx)
     halo = np.zeros(w)  # qy of the row above the strip
     total = 0.0
     for i0 in range(0, h, rows):
         i1 = min(i0 + rows, h)
         sx, sy, m = gx[: i1 - i0], gy[: i1 - i0], mag[: i1 - i0]
+        flat = f[i0:i1].reshape(-1)  # a strip-sized copy only if f's rows are not contiguous
         # forward differences, 0 in the last column and in the field's last row
-        np.subtract(f[i0:i1, 1:], f[i0:i1, :-1], out=sx[:, :-1])
+        _forward_x(flat, sx)
         inner = min(i1, h - 1) - i0
         np.subtract(f[i0 + 1 : i1 + 1], f[i0 : i0 + inner], out=sy[:inner])
         if i1 == h:
@@ -113,11 +134,12 @@ def tv_smooth(f, eps=1e-8, grad_out=None, scale=1.0):
         # grad = -div(gx/w, gy/w) with w the smoothed magnitude and div the
         # backward-difference divergence, out-of-range terms taken as 0;
         # gx is taken again (sx holds its square) and -div is formed in m
-        np.subtract(f[i0:i1, 1:], f[i0:i1, :-1], out=sx[:, :-1])
+        _forward_x(flat, sx)
         sx /= m
         sy /= m
-        m[...] = sx
-        m[:, 1:] -= sx[:, :-1]
+        qx, mx = sx.reshape(-1), m.reshape(-1)
+        mx[:1] = qx[:1]
+        np.subtract(qx[1:], qx[:-1], out=mx[1:])
         m += sy
         m[1:] -= sy[:-1]
         m[0] -= halo

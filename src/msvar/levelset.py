@@ -93,15 +93,21 @@ def curvature_central(phi):
     CURVATURE_GUARD is added to the |grad phi|^3 denominator. The field is
     walked in row strips of grid.STRIP elements: each strip is copied into a
     buffer padded by its edge columns and by the rows above and below it (the
-    field's own edge rows at its top and bottom), and every product is taken
-    in the order of the whole-plane formula, so the result does not depend on
-    the strip length.
+    field's own edge rows at its top and bottom). Every stencil product is
+    one 1-D pass over the flattened padded strip, whose rows are w + 2 long,
+    and is taken in the order of the whole-plane formula, so the result does
+    not depend on the strip length. Such a pass also spans the two columns
+    where one padded row wraps into the next; each x-difference (fx, fxx,
+    fxy) is set to 0 there as soon as it is taken, so those columns hold
+    values no larger than the valid ones, and only the final divide reads the
+    valid (r, w) part.
     """
     phi = np.asarray(phi, dtype=np.float64)
     h, w = phi.shape
     rows = min(strip_rows(w), h)
     pad = np.empty((rows + 2, w + 2))
-    fx, fy, a, b = (np.empty((rows, w)) for _ in range(4))
+    # row i, column j of a buffer is padded row i + 1, column j + 1
+    fx, fy, a, b = (np.empty((rows, w + 2)) for _ in range(4))
     out = np.empty((h, w))
     for i0 in range(0, h, rows):
         i1 = min(i0 + rows, h)
@@ -112,31 +118,40 @@ def curvature_central(phi):
         p[-1, 1:-1] = phi[min(i1, h - 1)]
         p[:, 0] = p[:, 1]
         p[:, -1] = p[:, -2]
-        up, mid, down = p[:-2], p[1:-1], p[2:]
-        sx, sy, sa, sb = fx[:r], fy[:r], a[:r], b[:r]
+        # the pass covers padded rows 1..r from column 1 to column w
+        s, n = w + 2, r * (w + 2) - 2
+        q = p.reshape(-1)
+        nw, up, ne = q[:n], q[1 : n + 1], q[2 : n + 2]
+        west, mid, east = q[s : s + n], q[s + 1 : s + n + 1], q[s + 2 : s + n + 2]
+        sw, down, se = q[2 * s : 2 * s + n], q[2 * s + 1 : 2 * s + n + 1], q[2 * s + 2 :]
+        sx, sy, sa, sb = (buf[:r].reshape(-1)[:n] for buf in (fx, fy, a, b))
+        fx_wraps, a_wraps = fx[:r, w:], a[:r, w:]
         # fx = 0.5 (E - W), fy = 0.5 (S - N)
-        np.subtract(mid[:, 2:], mid[:, :-2], out=sx)
+        np.subtract(east, west, out=sx)
+        fx_wraps[...] = 0.0
         sx *= 0.5
-        np.subtract(down[:, 1:-1], up[:, 1:-1], out=sy)
+        np.subtract(down, up, out=sy)
         sy *= 0.5
         # sb = 2 fx fy fxy with fxy = 0.25 (SE - SW - NE + NW)
-        np.subtract(down[:, 2:], down[:, :-2], out=sa)
-        sa -= up[:, 2:]
-        sa += up[:, :-2]
+        np.subtract(se, sw, out=sa)
+        sa -= ne
+        sa += nw
+        a_wraps[...] = 0.0
         sa *= 0.25
         np.multiply(sx, 2.0, out=sb)
         sb *= sy
         sb *= sa
         # num = fxx fy fy - 2 fx fy fxy + fyy fx fx, fxx = (E - 2 C) + W
-        np.multiply(mid[:, 1:-1], 2.0, out=sa)
-        np.subtract(mid[:, 2:], sa, out=sa)
-        sa += mid[:, :-2]
+        np.multiply(mid, 2.0, out=sa)
+        np.subtract(east, sa, out=sa)
+        sa += west
+        a_wraps[...] = 0.0
         sa *= sy
         sa *= sy
         sa -= sb
-        np.multiply(mid[:, 1:-1], 2.0, out=sb)
-        np.subtract(down[:, 1:-1], sb, out=sb)
-        sb += up[:, 1:-1]
+        np.multiply(mid, 2.0, out=sb)
+        np.subtract(down, sb, out=sb)
+        sb += up
         sb *= sx
         sb *= sx
         sa += sb
@@ -147,7 +162,7 @@ def curvature_central(phi):
         # the power, not mag2 * sqrt(mag2): that rounds otherwise and moves masks
         np.power(sb, 1.5, out=sb)
         sb += CURVATURE_GUARD
-        np.divide(sa, sb, out=out[i0:i1])
+        np.divide(a[:r, :w], b[:r, :w], out=out[i0:i1])
     return out
 
 

@@ -143,14 +143,28 @@ def test_tv_rejects_a_finite_field_whose_differences_overflow():
 
 # ------------------------------------------------------- strip-mined TV pass
 
+def _random_field(shape):
+    return lambda rng: rng.random(shape)
+
+
 # Strip lengths in elements: the default, 3 rows of a width-8 field (13 rows
-# do not divide), and fewer elements than a row (one row per strip).
-@pytest.mark.parametrize("strip", [grid.STRIP, 25, 5])
-@pytest.mark.parametrize("shape", [(13, 8), (1, 9), (9, 1), (1, 1)],
-                         ids=["13x8", "1x9", "9x1", "1x1"])
-def test_tv_smooth_adds_its_scaled_gradient(monkeypatch, strip, shape):
+# do not divide), 3 rows of a width-33 field, and fewer elements than a row
+# (one row per strip). The x-differences run over a strip's flattened rows,
+# so they also span each row wrap (a row's last value to the next row's
+# first); on the 8x300 ramp those wrap differences overflow when squared,
+# while the field's own differences do not. Its step is a power of two, so
+# every difference and the loop oracle's running sum are exact.
+@pytest.mark.parametrize("strip", [grid.STRIP, 25, 99, 5])
+@pytest.mark.parametrize(
+    "field",
+    [_random_field((13, 8)), _random_field((1, 9)), _random_field((9, 1)), _random_field((1, 1)),
+     _random_field((40, 33)), lambda rng: np.tile(np.arange(300) * 2.0**505, (8, 1))],
+    ids=["13x8", "1x9", "9x1", "1x1", "40x33", "8x300-wraps-overflow"],
+)
+def test_tv_smooth_adds_its_scaled_gradient(monkeypatch, strip, field):
     rng = np.random.default_rng(5)
-    f, base = rng.random(shape), rng.random(shape)
+    f = field(rng)
+    base = rng.random(f.shape)
     whole = tv_smooth_grad(f, 1e-3)  # one strip covers every field here
     monkeypatch.setattr(grid, "STRIP", strip)
     out = base.copy()
@@ -163,18 +177,21 @@ def test_tv_smooth_adds_its_scaled_gradient(monkeypatch, strip, shape):
 
 
 def test_tv_smooth_with_gradient_keeps_its_temporaries_strip_sized():
-    # the whole-plane gradient allocated about four (H, W) planes
-    f = np.random.default_rng(0).random((1024, 1024))
-    out = np.zeros_like(f)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        tv_smooth(f, 1e-8, grad_out=out)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
+    # the whole-plane gradient allocated about four (H, W) planes; a column
+    # slice has rows that are not contiguous, so flattening it whole would copy
+    # a plane, and it is flattened strip by strip instead
+    rng = np.random.default_rng(0)
+    for f in (rng.random((1024, 1024)), rng.random((1024, 2048))[:, :1024]):
+        out = np.zeros(f.shape)
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    assert peak < f.nbytes, f"traced peak {peak / f.nbytes:.2f} planes"
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tv_smooth(f, 1e-8, grad_out=out)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < f.nbytes, f"traced peak {peak / f.nbytes:.2f} planes"
