@@ -118,12 +118,12 @@ def curvature_central(phi):
         p[-1, 1:-1] = phi[min(i1, h - 1)]
         p[:, 0] = p[:, 1]
         p[:, -1] = p[:, -2]
-        # the pass covers padded rows 1..r from column 1 to column w
-        s, n = w + 2, r * (w + 2) - 2
-        q = p.reshape(-1)
-        nw, up, ne = q[:n], q[1 : n + 1], q[2 : n + 2]
-        west, mid, east = q[s : s + n], q[s + 1 : s + n + 1], q[s + 2 : s + n + 2]
-        sw, down, se = q[2 * s : 2 * s + n], q[2 * s + 1 : 2 * s + n + 1], q[2 * s + 2 :]
+        # the pass covers padded rows 1..r from column 1 to column w; the
+        # 3x3 neighbours of its elements start at these offsets of q
+        q, s, n = p.reshape(-1), w + 2, r * (w + 2) - 2
+        nw, up, ne, west, mid, east, sw, down, se = (
+            q[k : k + n] for k in (0, 1, 2, s, s + 1, s + 2, 2 * s, 2 * s + 1, 2 * s + 2)
+        )
         sx, sy, sa, sb = (buf[:r].reshape(-1)[:n] for buf in (fx, fy, a, b))
         fx_wraps, a_wraps = fx[:r, w:], a[:r, w:]
         # fx = 0.5 (E - W), fy = 0.5 (S - N)
