@@ -181,17 +181,17 @@ def test_tv_smooth_with_gradient_keeps_its_temporaries_strip_sized():
     # slice has rows that are not contiguous, so flattening it whole would copy
     # a plane, and it is flattened strip by strip instead
     rng = np.random.default_rng(0)
-    for f in (rng.random((1024, 1024)), rng.random((1024, 2048))[:, :1024]):
-        out = np.zeros(f.shape)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for f in (rng.random((1024, 1024)), rng.random((1024, 2048))[:, :1024]):
+            out = np.zeros(f.shape)
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             tv_smooth(f, 1e-8, grad_out=out)
             peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < f.nbytes, f"traced peak {peak / f.nbytes:.2f} planes"
+            assert peak < f.nbytes, f"traced peak {peak / f.nbytes:.2f} planes"
+    finally:
+        if not tracing:
+            tracemalloc.stop()
