@@ -54,12 +54,15 @@ def grad_forward(f):
 # Elements per row strip (whole rows, at least one) of the two strip-mined
 # kernels, the TV stencil here and levelset.curvature_central; three strip
 # buffers take 384 KiB and stay in a 2 MiB L2 cache. Measured on the flat
-# kernels (2-vCPU Xeon KVM guest, 1 thread, median of 3 interleaved runs),
-# against 16384: at 8192, TV with its gradient spends 21/14/10 % more per
-# call at 128^2/256^2/1024^2 and the curvature 16/24 % less at 128^2/256^2
-# but 10 % more at 1024^2; at 32768, TV with its gradient spends -2/+47/-6 %
-# and the curvature 0/+16/-4 %, and the traced peak of minimize_ms on a
-# 256^2 PGM-quantised two-phase image rises from 4.4 to 4.8 (N, H, W) stacks.
+# kernels with the square-root curvature denominator (2-vCPU Xeon KVM guest,
+# 1 thread, median of 9 interleaved rounds, two runs), against 16384: at 8192
+# the curvature spends 3-22 % more per call and TV with its gradient 4-16 %
+# more, at each of 128^2, 256^2 and 1024^2; at 32768 they move by -4..+4 %
+# and -7..+9 %, and the traced peak of minimize_ms on a 256^2 PGM-quantised
+# two-phase image rises from 4.4 to 4.8 (N, H, W) stacks. Each run first
+# frees an 8 MiB block, as a solve frees its planes, so that glibc serves the
+# strip buffers from its heap; without it, a buffer of 128 KiB or more is
+# mapped afresh on every call (163 page faults per curvature call at 128^2).
 STRIP = 16384
 
 

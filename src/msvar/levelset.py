@@ -7,7 +7,9 @@ updates near the zero level sets. Evolution is explicit Euler on the
 curvature + region-competition velocities, with region means refreshed every
 step and the step halved while the energy rises. That energy is the softseg
 one with the TV weight lambda / 2: each boundary enters the TV of the two
-regions it separates, and the velocity descends lambda times its length.
+regions it separates, and the velocity descends lambda times its length. For
+p = 1 the two regions, 1 - H and H, share their TV, so the term is taken as
+lambda TV(H), one stencil instead of two.
 """
 
 from dataclasses import dataclass, replace
@@ -15,11 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import as_image, strip_rows
+from .grid import as_image, strip_rows, tv_smooth
 from .softseg import MsConfig, Result, block_descent, energy, sq_residual, weighted_means
-
-# Not called here; bound only so that perfbench/tracing.py's per-module targets resolve.
-from .grid import tv_smooth  # noqa: F401
 
 # Added to |grad phi|^3 in the curvature denominator.
 CURVATURE_GUARD = 1e-8
@@ -90,7 +89,8 @@ def region_means(x, state):
 def curvature_central(phi):
     """div(grad phi / |grad phi|) by central differences, replicate boundary.
 
-    CURVATURE_GUARD is added to the |grad phi|^3 denominator. The field is
+    The denominator is mag2 sqrt(mag2) + CURVATURE_GUARD, mag2 = |grad phi|^2;
+    a product and a root cost less than mag2 ** 1.5. The field is
     walked in row strips of grid.STRIP elements: each strip is copied into a
     buffer padded by its edge columns and by the rows above and below it (the
     field's own edge rows at its top and bottom). Every stencil product is
@@ -155,12 +155,12 @@ def curvature_central(phi):
         sb *= sx
         sb *= sx
         sa += sb
-        # mag2 = fx fx + fy fy
+        # mag2 = fx fx + fy fy, then mag2 sqrt(mag2) with the root in sy
         np.multiply(sx, sx, out=sb)
         sy *= sy
         sb += sy
-        # the power, not mag2 * sqrt(mag2): that rounds otherwise and moves masks
-        np.power(sb, 1.5, out=sb)
+        np.sqrt(sb, out=sy)
+        sb *= sy
         sb += CURVATURE_GUARD
         np.divide(a[:r, :w], b[:r, :w], out=out[i0:i1])
     return out
@@ -201,6 +201,12 @@ def evolve_step(x, state):
     return replace(state, phi=state.phi + state.dt * v)
 
 
+def _two_phase_tv(chi, lambda_tv, tv_eps):
+    """lambda TV(chi_1), the TV term of p = 1: chi_0 = 1 - chi_1 has the same TV,
+    so this is (lambda / 2) sum_n TV(chi_n) from one stencil; 0 when lambda is."""
+    return lambda_tv * tv_smooth(chi[1], tv_eps) if lambda_tv != 0.0 else 0.0
+
+
 def levelset_energy(x, state, tv_eps=1e-8):
     """Piecewise-constant energy of the smoothed partition.
 
@@ -208,11 +214,13 @@ def levelset_energy(x, state, tv_eps=1e-8):
     returns (energy, data, tv). Every boundary between two regions enters the
     TV of both characteristic functions, so the weight lambda / 2 makes tv
     lambda times the boundary length, the length term the curvature velocity
-    descends (Chan & Vese 2001; Vese & Chan 2002).
+    descends (Chan & Vese 2001; Vese & Chan 2002). For p = 1, tv is taken as
+    lambda TV(chi_1).
     """
     x = as_image(x)
     chi = memberships(state)
-    return energy(x, chi, weighted_means(x, chi), 0.5 * state.lambda_tv, tv_eps)
+    tv = _two_phase_tv(chi, state.lambda_tv, tv_eps) if state.phi.shape[0] == 1 else None
+    return energy(x, chi, weighted_means(x, chi), 0.5 * state.lambda_tv, tv_eps, tv_y=tv)
 
 
 def hard_labels(state):
@@ -251,7 +259,7 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
     and the negated velocity as direction: each step is an Euler step of trial
     length dt, halved while the energy rises, so the trace is non-increasing.
     Returns a Result with the sign-pattern labels, their plain per-region means
-    and trace rows (energy, data, tv). Unless the relative energy change drops
+    and trace rows (energy, data, tv), as levelset_energy gives them. Unless the relative energy change drops
     below rel_tol, raises ConvergenceError carrying that Result.
     """
     x = as_image(x)
@@ -269,7 +277,8 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
         initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed).phi,
         lambda phi, d=None, eta=0.0, out=None: memberships(
             LevelSetState(phi if d is None else phi - d * eta, eps_h), out),
-        lambda phi, y, c, b, g: -_velocity(x, phi, c, eps_h, lambda_tv), fixed_step=True)
+        lambda phi, y, c, b, g: -_velocity(x, phi, c, eps_h, lambda_tv), fixed_step=True,
+        tv_term=(lambda chi: _two_phase_tv(chi, lambda_tv, tv_eps)) if phases == 1 else None)
     labels = hard_labels(LevelSetState(phi, eps_h))
     means = np.zeros((cfg.num_classes, x.shape[2]))
     for k in range(cfg.num_classes):

@@ -331,8 +331,21 @@ def fixed_point_step(x, seg, cfg, centroids=None):
 
 
 def hard_mask(seg):
-    """Per-pixel argmax over memberships; ties go to the lowest class index."""
-    return np.argmax(seg.memberships, axis=0)
+    """Per-pixel argmax over memberships; ties go to the lowest class index.
+
+    A running first maximum over the classes: a class takes the pixel only
+    where it is strictly above the maximum so far, so a tie keeps the lower
+    index. np.argmax(axis=0) would copy the whole stack first.
+    """
+    y = seg.memberships
+    best = y[0].copy()
+    labels = np.zeros(best.shape, dtype=np.intp)
+    above = np.empty(best.shape, dtype=bool)
+    for n in range(1, y.shape[0]):
+        np.greater(y[n], best, out=above)
+        np.maximum(best, y[n], out=best)
+        np.copyto(labels, n, where=above)
+    return labels
 
 
 # Most Lloyd sweeps per k-means restart (a restart stops earlier at its fixed
@@ -486,7 +499,8 @@ def _bb_step(s_s, s_dg, last):
     return last
 
 
-def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=False):
+def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=False,
+                  tv_term=None):
     """Block-coordinate descent on the energy over memberships y = members(u)
     (and a bias field b).
 
@@ -520,12 +534,18 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     A bias step moves c and b after the logit trials, so with b given they
     build none, and the logit block builds g itself before the direction,
     as it does after it exhausted.
+
+    tv_term(y), when given, returns the energy's TV term of memberships y in
+    place of cfg.lambda_tv sum_n TV(y_n); it needs fixed_step, as no
+    membership gradient is then built.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
 
     def evaluate(u, y, b, tv_y=None, g=None, tv_b=None):
         # a trial that leaves u unchanged passes lambda sum_n TV(y_n) as tv_y,
         # one that leaves b unchanged gamma TV(b) as tv_b
+        if tv_y is None and tv_term is not None:
+            tv_y = tv_term(y)
         c = weighted_means(x, y, b)
         terms = energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g, tv_b)
         return (u, y, c, b, g), terms

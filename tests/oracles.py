@@ -5,7 +5,10 @@ classes, independent of the library's numpy formulations. The exceptions
 are levelset_descent_loop, which pins the level-set solver's iteration to the
 public one-step functions it is built from, and curvature_central_planes, the
 whole-plane numpy formula that the strip-mined curvature kernel must
-reproduce bit for bit.
+reproduce bit for bit, with its denominator as mag2 * sqrt(mag2);
+curvature_central_loop keeps (fx^2 + fy^2) ** 1.5. tv_smooth_loop sums its
+pixels with math.fsum, correctly rounded, so that on a large field it does not
+drift from the kernel's pairwise sum.
 """
 
 import math
@@ -29,10 +32,8 @@ def grad_forward_loop(f):
 def tv_smooth_loop(f, eps):
     gx, gy = grad_forward_loop(f)
     h, w = f.shape
-    total = 0.0
-    for i in range(h):
-        for j in range(w):
-            total += math.sqrt(gx[i, j] ** 2 + gy[i, j] ** 2 + eps * eps)
+    total = math.fsum(math.sqrt(gx[i, j] ** 2 + gy[i, j] ** 2 + eps * eps)
+                      for i in range(h) for j in range(w))
     return total - h * w * eps
 
 
@@ -189,7 +190,7 @@ def curvature_central_planes(phi, guard=1e-8):
     fxy = 0.25 * (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2])
     num = fxx * fy * fy - 2.0 * fx * fy * fxy + fyy * fx * fx
     mag2 = fx * fx + fy * fy
-    return num / (mag2 ** 1.5 + guard)
+    return num / (mag2 * np.sqrt(mag2) + guard)
 
 
 def levelset_velocity_loop(x, phi, eps_h, lam, eps_den=1e-8):

@@ -153,13 +153,16 @@ def _random_field(shape):
 # so they also span each row wrap (a row's last value to the next row's
 # first); on the 8x300 ramp those wrap differences overflow when squared,
 # while the field's own differences do not. Its step is a power of two, so
-# every difference and the loop oracle's running sum are exact.
+# every difference and the loop oracle's sum are exact. The 8x300 ramp of step
+# 1e152 has inexact terms, which the kernel's pairwise sum rounds to the
+# oracle's correctly rounded sum.
 @pytest.mark.parametrize("strip", [grid.STRIP, 25, 99, 5])
 @pytest.mark.parametrize(
     "field",
     [_random_field((13, 8)), _random_field((1, 9)), _random_field((9, 1)), _random_field((1, 1)),
-     _random_field((40, 33)), lambda rng: np.tile(np.arange(300) * 2.0**505, (8, 1))],
-    ids=["13x8", "1x9", "9x1", "1x1", "40x33", "8x300-wraps-overflow"],
+     _random_field((40, 33)), lambda rng: np.tile(np.arange(300) * 2.0**505, (8, 1)),
+     lambda rng: np.tile(np.arange(300) * 1e152, (8, 1))],
+    ids=["13x8", "1x9", "9x1", "1x1", "40x33", "8x300-wraps-overflow", "8x300-large-sum"],
 )
 def test_tv_smooth_adds_its_scaled_gradient(monkeypatch, strip, field):
     rng = np.random.default_rng(5)

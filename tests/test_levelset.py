@@ -340,7 +340,49 @@ def test_the_traced_tv_term_descends_along_the_curvature_velocity(monkeypatch):
     curvature = delta * lam * curvature_central(phi[0])
     sel = np.abs(curvature) > 0.1 * np.abs(curvature).max()
     assert 0.8 <= np.median(-pulled[sel] / curvature[sel]) <= 1.25
+    # the two planes share their TV, and the term takes it from chi_1 alone
     tv = levelset_energy(image, state, cfg.tv_eps)[2]
-    assert tv == (0.5 * lam) * sum(tv_smooth(chi[n], cfg.tv_eps) for n in range(2))
+    assert tv == lam * tv_smooth(chi[1], cfg.tv_eps)
     with pytest.raises(ValueError, match="got -0.01$"):  # the weight given, not the traced one
         segment_levelset(image, lambda_tv=-lam)
+
+
+def test_the_one_plane_tv_term_equals_the_two_plane_form_to_rounding():
+    # TV(1 - H) and TV(H) differ only in how 1 - H rounds, so lambda TV(chi_1)
+    # is (lambda / 2)(TV(chi_0) + TV(chi_1)) to within about one rounding
+    rng = np.random.default_rng(18)
+    x = rng.random((20, 24, 1))
+    lam = 1e-2
+    for _ in range(200):
+        phi = rng.uniform(-3.0, 3.0, (1, 20, 24)) * rng.uniform(0.1, 10.0)
+        state = LevelSetState(phi, eps_h=rng.uniform(0.5, 2.0), lambda_tv=lam)
+        chi = memberships(state)
+        two_planes = (0.5 * lam) * (tv_smooth(chi[0]) + tv_smooth(chi[1]))
+        assert levelset_energy(x, state)[2] == pytest.approx(two_planes, rel=4.5e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("phases, per_evaluation", [(1, 1), (2, 4)])
+def test_each_evaluation_takes_one_tv_stencil_per_distinct_plane(monkeypatch, phases,
+                                                                 per_evaluation):
+    calls = {"tv_smooth": 0, "weighted_means": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (softseg, levelset):
+        counting(module, "tv_smooth")
+    counting(softseg, "weighted_means")
+    image, _, _ = make_phantom("four-phase", 32, 0.05, 0)
+    state = LevelSetState(np.random.default_rng(1).uniform(-1.0, 1.0, (phases, 32, 32)))
+    levelset_energy(image, state)
+    assert calls["tv_smooth"] == per_evaluation
+    calls["tv_smooth"] = 0
+    run_segment(image, phases=phases, lambda_tv=1e-2, dt=8.0, eps_h=2.0, max_iters=20)
+    assert calls["weighted_means"] > 1
+    assert calls["tv_smooth"] == per_evaluation * calls["weighted_means"]

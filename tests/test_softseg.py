@@ -355,6 +355,17 @@ def test_hard_mask_matches_argmax_oracle():
             assert mask[i, j] == vals.index(max(vals))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hard_mask_equals_argmax_on_stacks_with_exact_ties(n):
+    # logits from a small set, so many pixels tie between two or more classes,
+    # at the maximum and below it; equal logits give equal memberships
+    seg = SoftSegmentation.from_logits(np.random.default_rng(n).integers(0, 3, (n, 9, 11)))
+    y = seg.memberships
+    assert (y == y.max(axis=0)).sum(axis=0).max() == n
+    mask = hard_mask(seg)
+    assert mask.dtype == np.intp and np.array_equal(mask, np.argmax(y, axis=0))
+
+
 # ------------------------------------------------------------- minimize_ms
 
 def test_minimize_two_phase_phantom():
