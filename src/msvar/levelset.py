@@ -259,8 +259,9 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
     and the negated velocity as direction: each step is an Euler step of trial
     length dt, halved while the energy rises, so the trace is non-increasing.
     Returns a Result with the sign-pattern labels, their plain per-region means
-    and trace rows (energy, data, tv), as levelset_energy gives them. Unless the relative energy change drops
-    below rel_tol, raises ConvergenceError carrying that Result.
+    and trace rows (energy, data, tv), as levelset_energy gives them. Unless
+    the relative energy change drops below rel_tol, raises ConvergenceError
+    carrying that Result.
     """
     x = as_image(x)
     if phases not in (1, 2):

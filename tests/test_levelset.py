@@ -150,7 +150,7 @@ def test_strip_mined_curvature_equals_the_whole_plane_formula(shape):
 def test_curvature_wrap_columns_stay_warning_free():
     # the stencil passes run over the flattened padded strip, so they also
     # span the columns where one padded row wraps into the next; on this ramp
-    # the wrap differences, left in place, overflow in the power
+    # the wrap differences, left in place, overflow in the denominator
     phi = np.tile(np.arange(300) * 1e101, (8, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -296,20 +296,22 @@ def test_segment_matches_step_by_step_oracle(case):
     assert (trials > len(trace) - 1) == (case == "rejected-step")
 
 
+def count_calls(monkeypatch, counts, module, name):
+    """Wrap module.name so that each call adds 1 to counts[name]."""
+    real = getattr(module, name)
+    counts.setdefault(name, 0)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_segment_evaluates_each_accepted_step_once(monkeypatch):
-    counts = {"weighted_means": 0, "memberships": 0}
-
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(softseg, "weighted_means")
-    counting(levelset, "memberships")
+    counts = {}
+    count_calls(monkeypatch, counts, softseg, "weighted_means")
+    count_calls(monkeypatch, counts, levelset, "memberships")
     image, _, _ = make_phantom("two-phase", 64, 0.05, 0)
     result, _ = run_segment(image, phases=1, lambda_tv=1e-2, dt=0.5, max_iters=50, rel_tol=1e-12)
     assert len(result.trace) == 51  # no step rejected
@@ -364,20 +366,10 @@ def test_the_one_plane_tv_term_equals_the_two_plane_form_to_rounding():
 @pytest.mark.parametrize("phases, per_evaluation", [(1, 1), (2, 4)])
 def test_each_evaluation_takes_one_tv_stencil_per_distinct_plane(monkeypatch, phases,
                                                                  per_evaluation):
-    calls = {"tv_smooth": 0, "weighted_means": 0}
-
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
+    calls = {}
     for module in (softseg, levelset):
-        counting(module, "tv_smooth")
-    counting(softseg, "weighted_means")
+        count_calls(monkeypatch, calls, module, "tv_smooth")
+    count_calls(monkeypatch, calls, softseg, "weighted_means")
     image, _, _ = make_phantom("four-phase", 32, 0.05, 0)
     state = LevelSetState(np.random.default_rng(1).uniform(-1.0, 1.0, (phases, 32, 32)))
     levelset_energy(image, state)
