@@ -10,6 +10,14 @@ one with the TV weight lambda / 2: each boundary enters the TV of the two
 regions it separates, and the velocity descends lambda times its length. For
 p = 1 the two regions, 1 - H and H, share their TV, so the term is taken as
 lambda TV(H), one stencil instead of two.
+
+A step builds each plane once: the memberships are formed in place in the
+stack the descent reuses, the velocity reads the squared residuals that the
+accepted step's energy evaluation built, and it is formed in place, negated
+and with the delta folded in, as the descent direction; block_descent forms
+each trial phi - d * eta in the buffer that becomes phi when it is accepted.
+Every operation keeps the operands and order of the plain formulas, so the
+results are theirs bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -24,11 +32,30 @@ from .softseg import MsConfig, Result, block_descent, energy, sq_residual, weigh
 CURVATURE_GUARD = 1e-8
 
 
+def _heaviside(phi, eps_h, out):
+    """H_eps(phi) written into out, rounded as 0.5 (1 + (2/pi) atan(phi/eps_h))."""
+    np.divide(phi, eps_h, out=out)
+    np.arctan(out, out=out)
+    out *= 2.0 / np.pi
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _delta(phi, eps_h, out, sign=1.0):
+    """sign * delta_eps(phi) written into out, rounded as
+    (sign eps_h/pi) / (eps_h^2 + phi^2); a sign of -1 negates it exactly."""
+    np.multiply(phi, phi, out=out)
+    out += eps_h * eps_h
+    return np.divide(sign * (eps_h / np.pi), out, out=out)
+
+
 def heaviside_eps(phi, eps_h):
     """Smoothed Heaviside H_eps(phi) = 0.5 (1 + (2/pi) atan(phi/eps_h))."""
     if eps_h <= 0:
         raise ValueError(f"eps_h must be > 0, got {eps_h}")
-    return 0.5 * (1.0 + (2.0 / np.pi) * np.arctan(np.asarray(phi, dtype=np.float64) / eps_h))
+    phi = np.asarray(phi, dtype=np.float64)
+    return _heaviside(phi, eps_h, np.empty(phi.shape))
 
 
 def delta_eps(phi, eps_h):
@@ -36,7 +63,7 @@ def delta_eps(phi, eps_h):
     if eps_h <= 0:
         raise ValueError(f"eps_h must be > 0, got {eps_h}")
     phi = np.asarray(phi, dtype=np.float64)
-    return (eps_h / np.pi) / (eps_h * eps_h + phi * phi)
+    return _delta(phi, eps_h, np.empty(phi.shape))
 
 
 @dataclass
@@ -64,20 +91,33 @@ class LevelSetState:
 
 def memberships(state, out=None):
     """Smoothed characteristic functions of the 2^p classes, shape (N, H, W),
-    written into out when given."""
-    h = heaviside_eps(state.phi, state.eps_h)
+    written into out when given.
+
+    The Heavisides are formed in place in out. For p = 2 the four products of
+    h1, h2 and their complements g = 1 - h are taken in row strips of
+    grid.STRIP elements, with g2 in one strip-sized buffer.
+    """
+    phi, eps_h = state.phi, state.eps_h
     if out is None:
-        out = np.empty((2 ** state.phi.shape[0],) + h.shape[1:])
-    if state.phi.shape[0] == 1:
-        np.subtract(1.0, h[0], out=out[0])
-        out[1] = h[0]
+        out = np.empty((2 ** phi.shape[0],) + phi.shape[1:])
+    if phi.shape[0] == 1:
+        _heaviside(phi[0], eps_h, out[1])
+        np.subtract(1.0, out[1], out=out[0])
         return out
-    h1, h2 = h[0], h[1]
-    g1, g2 = 1 - h1, 1 - h2
-    np.multiply(g1, g2, out=out[0])
-    np.multiply(g1, h2, out=out[1])
-    np.multiply(h1, g2, out=out[2])
-    np.multiply(h1, h2, out=out[3])
+    # out[2] = h1 and out[3] = h2 until their strip's products overwrite them
+    _heaviside(phi[0], eps_h, out[2])
+    _heaviside(phi[1], eps_h, out[3])
+    h, w = phi.shape[1:]
+    rows = strip_rows(w)
+    buf = np.empty((min(rows, h), w))
+    for i0 in range(0, h, rows):
+        gg, gh, hg, hh = out[:, i0 : i0 + rows]
+        g2 = np.subtract(1.0, hh, out=buf[: len(hh)])
+        np.subtract(1.0, hg, out=gg)
+        np.multiply(gg, hh, out=gh)
+        gg *= g2
+        np.multiply(hg, hh, out=hh)
+        hg *= g2
     return out
 
 
@@ -104,11 +144,13 @@ def curvature_central(phi):
     """
     phi = np.asarray(phi, dtype=np.float64)
     h, w = phi.shape
+    out = np.empty((h, w))
+    if out.size == 0:
+        return out
     rows = min(strip_rows(w), h)
     pad = np.empty((rows + 2, w + 2))
     # row i, column j of a buffer is padded row i + 1, column j + 1
     fx, fy, a, b = (np.empty((rows, w + 2)) for _ in range(4))
-    out = np.empty((h, w))
     for i0 in range(0, h, rows):
         i1 = min(i0 + rows, h)
         r = i1 - i0
@@ -171,22 +213,42 @@ def _check_cfl(dt, lambda_tv):
         raise ValueError(f"dt * lambda_tv = {dt * lambda_tv:g} violates the 0.25 safety bound")
 
 
-def _velocity(x, phi, c, eps_h, lam):
-    """Curvature + region-competition velocity of each level function, shape
-    (p, H, W), for region means c of the 2^p classes."""
-    sq = sq_residual(x, c)
+def _direction(phi, sq, eps_h, lam):
+    """Minus the curvature + region-competition velocity of each level
+    function, shape (p, H, W), from the squared residuals sq = ||x - c_n||^2
+    of the 2^p classes, which it overwrites.
+
+    The velocity delta_eps(phi) (lam curvature - competition) is formed in
+    place, with the sign folded into the delta: for p = 1 in the curvature's
+    own plane, for p = 2 in a new stack, with sq as the workspace. Each
+    operation takes the operands of that formula in its order, so the result
+    is its negation bit for bit.
+    """
     if phi.shape[0] == 1:
         # competition: own-region fit against the complement, c[1] inside
-        force = lam * curvature_central(phi[0]) - (sq[1] - sq[0])
-        return (delta_eps(phi[0], eps_h) * force)[None, :, :]
-    phi1, phi2 = phi[0], phi[1]
-    h1 = heaviside_eps(phi1, eps_h)
-    h2 = heaviside_eps(phi2, eps_h)
-    comp1 = (sq[3] - sq[1]) * h2 + (sq[2] - sq[0]) * (1.0 - h2)
-    comp2 = (sq[3] - sq[2]) * h1 + (sq[1] - sq[0]) * (1.0 - h1)
-    v1 = delta_eps(phi1, eps_h) * (lam * curvature_central(phi1) - comp1)
-    v2 = delta_eps(phi2, eps_h) * (lam * curvature_central(phi2) - comp2)
-    return np.stack([v1, v2])
+        force = curvature_central(phi[0])
+        force *= lam
+        force -= np.subtract(sq[1], sq[0], out=sq[1])
+        force *= _delta(phi[0], eps_h, sq[0], -1.0)
+        return force[None]
+    s0, s1, s2, s3 = sq
+    d = np.empty(phi.shape)
+    # comp1 = (s3 - s1) h2 + (s2 - s0)(1 - h2), comp2 = (s3 - s2) h1 + (s1 - s0)(1 - h1):
+    # each is a h + b (1 - h), a in d[m], b and then h in the planes of sq it frees
+    np.subtract(s3, s1, out=d[0])
+    np.subtract(s3, s2, out=d[1])
+    np.subtract(s2, s0, out=s3)
+    np.subtract(s1, s0, out=s2)
+    for a, b, h, phi_h in ((d[0], s3, s1, phi[1]), (d[1], s2, s0, phi[0])):
+        a *= _heaviside(phi_h, eps_h, h)
+        b *= np.subtract(1.0, h, out=h)
+        a += b
+    for m in range(2):
+        force = curvature_central(phi[m])
+        force *= lam
+        np.subtract(force, d[m], out=d[m])
+        d[m] *= _delta(phi[m], eps_h, s0, -1.0)
+    return d
 
 
 def evolve_step(x, state):
@@ -197,14 +259,19 @@ def evolve_step(x, state):
     """
     x = as_image(x)
     _check_cfl(state.dt, state.lambda_tv)
-    v = _velocity(x, state.phi, region_means(x, state), state.eps_h, state.lambda_tv)
-    return replace(state, phi=state.phi + state.dt * v)
+    sq = sq_residual(x, region_means(x, state))
+    d = _direction(state.phi, sq, state.eps_h, state.lambda_tv)
+    return replace(state, phi=state.phi - state.dt * d)
 
 
-def _two_phase_tv(chi, lambda_tv, tv_eps):
-    """lambda TV(chi_1), the TV term of p = 1: chi_0 = 1 - chi_1 has the same TV,
-    so this is (lambda / 2) sum_n TV(chi_n) from one stencil; 0 when lambda is."""
-    return lambda_tv * tv_smooth(chi[1], tv_eps) if lambda_tv != 0.0 else 0.0
+def _tv_term(chi, lambda_tv, tv_eps):
+    """(lambda / 2) sum_n TV(chi_n), 0 when lambda is. For p = 1, chi_0 = 1 - chi_1
+    has the same TV, so the term is taken as lambda TV(chi_1), one stencil."""
+    if lambda_tv == 0.0:
+        return 0.0
+    if chi.shape[0] == 2:
+        return lambda_tv * tv_smooth(chi[1], tv_eps)
+    return 0.5 * lambda_tv * sum(tv_smooth(c, tv_eps) for c in chi)
 
 
 def levelset_energy(x, state, tv_eps=1e-8):
@@ -219,7 +286,7 @@ def levelset_energy(x, state, tv_eps=1e-8):
     """
     x = as_image(x)
     chi = memberships(state)
-    tv = _two_phase_tv(chi, state.lambda_tv, tv_eps) if state.phi.shape[0] == 1 else None
+    tv = _tv_term(chi, state.lambda_tv, tv_eps)
     return energy(x, chi, weighted_means(x, chi), 0.5 * state.lambda_tv, tv_eps, tv_y=tv)
 
 
@@ -256,8 +323,10 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
     """Evolve a seeded sinusoid initialization until the energy settles.
 
     softseg.block_descent over the level functions, with Heaviside memberships
-    and the negated velocity as direction: each step is an Euler step of trial
-    length dt, halved while the energy rises, so the trace is non-increasing.
+    and the negated velocity as direction, which reads the squared residuals
+    of the descent's last accepted evaluation: each step is an Euler step of
+    trial length dt, halved while the energy rises, so the trace is
+    non-increasing.
     Returns a Result with the sign-pattern labels, their plain per-region means
     and trace rows (energy, data, tv), as levelset_energy gives them. Unless
     the relative energy change drops below rel_tol, raises ConvergenceError
@@ -276,10 +345,9 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
     (phi, _, _, _), trace, stop = block_descent(
         x, cfg,
         initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed).phi,
-        lambda phi, d=None, eta=0.0, out=None: memberships(
-            LevelSetState(phi if d is None else phi - d * eta, eps_h), out),
-        lambda phi, y, c, b, g: -_velocity(x, phi, c, eps_h, lambda_tv), fixed_step=True,
-        tv_term=(lambda chi: _two_phase_tv(chi, lambda_tv, tv_eps)) if phases == 1 else None)
+        lambda phi, out=None: memberships(LevelSetState(phi, eps_h), out),
+        lambda phi, y, c, b, sq: _direction(phi, sq, eps_h, lambda_tv), fixed_step=True,
+        tv_term=lambda chi: _tv_term(chi, lambda_tv, tv_eps))
     labels = hard_labels(LevelSetState(phi, eps_h))
     means = np.zeros((cfg.num_classes, x.shape[2]))
     for k in range(cfg.num_classes):

@@ -13,8 +13,9 @@ The bias and level-set solvers minimise the same energy (fit b(r) c_n;
 Heaviside memberships, with TV weight lambda / 2); it and the one iteration
 driver, iterate, live here. energy is also the one formula of its gradient in
 the memberships: energy(..., grad_out=g) builds the g that block_descent
-hands the direction of ms and ms-bias (None for the level set, whose
-velocity is not an energy gradient) and the one ms_loss_grad pulls back.
+hands the direction of ms and ms-bias, and the one ms_loss_grad pulls back;
+the level set, whose velocity is not an energy gradient, is handed the
+residual of its data term alone.
 
 The kernels on the descent path work in place and one class (and channel) at
 a time: they allocate what they return and at most a few (H, W) planes, never
@@ -515,7 +516,9 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     returns them either way. block_descent owns u: an accepted step moves it
     in place, rounded as u - (d * eta). While the logits are tried, the
     trials write into the current memberships' stack; if the block exhausts,
-    members(u) is recomputed into it.
+    members(u) is recomputed into it. With fixed_step, members is only called
+    as members(u, out=y): each trial u - (d * eta) is formed in one buffer
+    per step, which an accepted step keeps as u, so u is never moved.
 
     Each block's first trial step is cfg.step_size at the start and after the
     block exhausts; otherwise it is the Barzilai-Borwein ratio s.s / s.dg of
@@ -526,29 +529,35 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     not finite, the block's last accepted step is reused.
 
     With fixed_step set (the level-set Euler step, whose direction is not an
-    energy gradient), every first trial step is cfg.step_size and g is None.
-    Otherwise g is the energy's gradient in the memberships at the current
-    state, c (and b) frozen, built by energy's grad_out; the direction may
-    overwrite it. The start's evaluation builds it, and without b so does
-    every logit trial, into the stack of d' once its dot products are taken.
-    A bias step moves c and b after the logit trials, so with b given they
-    build none, and the logit block builds g itself before the direction,
-    as it does after it exhausted.
+    energy gradient), every first trial step is cfg.step_size. g is the
+    energy's gradient in the memberships at the current state, c (and b)
+    frozen, built by energy's grad_out; the direction may overwrite it. The
+    start's evaluation builds it, and without b so does every trial of u:
+    into the stack of d' once its dot products are taken, or with fixed_step
+    into the stack the direction read. A bias step moves c and b after the
+    logit trials, so with b given they build none, and the logit block
+    builds g itself before the direction, as it does after it exhausted.
 
     tv_term(y), when given, returns the energy's TV term of memberships y in
-    place of cfg.lambda_tv sum_n TV(y_n); it needs fixed_step, as no
-    membership gradient is then built.
+    place of cfg.lambda_tv sum_n TV(y_n), and g is then the data term's
+    gradient alone, the squared residual ||x - c_n||^2 that the evaluation
+    builds for its data term. It needs fixed_step and no b.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
+
+    # the TV weight of g: with tv_term, g is the data term's gradient alone
+    g_weight = cfg.lambda_tv if tv_term is None else 0.0
 
     def evaluate(u, y, b, tv_y=None, g=None, tv_b=None):
         # a trial that leaves u unchanged passes lambda sum_n TV(y_n) as tv_y,
         # one that leaves b unchanged gamma TV(b) as tv_b
-        if tv_y is None and tv_term is not None:
-            tv_y = tv_term(y)
         c = weighted_means(x, y, b)
-        terms = energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g, tv_b)
-        return (u, y, c, b, g), terms
+        if tv_term is None:
+            return (u, y, c, b, g), energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g, tv_b)
+        # a zero TV weight leaves the residual alone in g; tv_term adds the TV term
+        data = energy(x, y, c, g_weight, cfg.tv_eps, grad_out=g)[1]
+        tv_y = tv_term(y)
+        return (u, y, c, b, g), (data + tv_y, data, tv_y)
 
     # per block: its last accepted step, and what its BB ratio keeps of that
     # step (u's direction d'; b and its gradient before the step)
@@ -558,27 +567,39 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     # step and what the BB ratio keeps of it, or with None for all three when
     # its backtracking exhausts
     def member_block(u, y, c, b, g):
-        if g is None and not fixed_step:  # a bias step or an exhausted block left none
+        if g is None:  # a bias step or an exhausted block left none
             g = np.empty_like(y)
-            energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, grad_out=g)
+            energy(x, y, c, g_weight, cfg.tv_eps, b, grad_out=g)
         d = direction(u, y, c, b, g)
         step0, spare, prev[0] = steps[0], prev[0], None
         if spare is not None:
             dd, dp = np.vdot(spare, spare), np.vdot(spare, d)
             step0 = _bb_step(step0 * dd, dd - dp, step0)
-        # with b, a trial leaves b and gamma TV(b) as they are; without, d' is not
-        # needed past its dot products and its stack takes the trials' g
-        g = tv_b = None
-        if b is not None:
-            tv_b = terms[3]
-        elif not fixed_step:
-            g = np.empty_like(d) if spare is None else spare
+        if fixed_step:
+            # the trials' g goes where the direction read it; each trial's u is
+            # formed in one buffer, which an accepted step keeps as u
+            trial = np.empty_like(u)
+
+            def evaluate_trial(eta):
+                v = np.subtract(u, np.multiply(d, eta, out=trial), out=trial)
+                return evaluate(v, members(v, out=y), b, g=g)
+        else:
+            # with b, a trial leaves b and gamma TV(b) as they are; without, d' is
+            # not needed past its dot products and its stack takes the trials' g
+            g = tv_b = None
+            if b is not None:
+                tv_b = terms[3]
+            else:
+                g = np.empty_like(d) if spare is None else spare
+
+            def evaluate_trial(eta):
+                return evaluate(u, members(u, d, eta, y), b, g=g, tv_b=tv_b)
         del spare
-        cand, cand_terms, exhausted, eta = _descend(
-            lambda eta: evaluate(u, members(u, d, eta, y), b, g=g, tv_b=tv_b), step0, terms[0])
+        cand, cand_terms, exhausted, eta = _descend(evaluate_trial, step0, terms[0])
         if exhausted:  # y holds a trial's memberships
             return (u, members(u, out=y), c, b, None), None, None, None
-        _step_in_place(u, d, eta)
+        if not fixed_step:
+            _step_in_place(u, d, eta)
         return cand, cand_terms, eta, d
 
     def bias_block(u, y, c, b, _):
@@ -597,7 +618,7 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
 
     blocks = (member_block,) if b is None else (member_block, bias_block)
     y = members(u)
-    state, terms = evaluate(u, y, b, g=None if fixed_step else np.empty_like(y))
+    state, terms = evaluate(u, y, b, g=np.empty_like(y))
     del u, y, b  # state holds the current arrays
 
     def step():

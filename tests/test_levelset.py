@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -126,6 +127,14 @@ def test_memberships_write_into_out_as_the_stacked_formulas(phases):
     assert memberships(state, out) is out and np.array_equal(out, want)
 
 
+def test_four_phase_memberships_across_strips_equal_the_stacked_formulas():
+    # 300 columns make row strips of 54 rows, so 70 rows take a full and a short strip
+    phi = np.random.default_rng(5).uniform(-3.0, 3.0, (2, 70, 300))
+    h1, h2 = heaviside_eps(phi, 0.9)
+    want = np.stack([(1 - h1) * (1 - h2), (1 - h1) * h2, h1 * (1 - h2), h1 * h2])
+    assert np.array_equal(memberships(LevelSetState(phi=phi, eps_h=0.9)), want)
+
+
 # --------------------------------------------------------- evolve_step
 
 def test_curvature_matches_loop_oracle():
@@ -145,6 +154,12 @@ def test_strip_mined_curvature_equals_the_whole_plane_formula(shape):
     before = phi.copy()
     assert np.array_equal(curvature_central(phi), curvature_central_planes(phi))
     assert np.array_equal(phi, before)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_curvature_of_an_empty_field_is_an_empty_plane(shape):
+    kappa = curvature_central(np.zeros(shape))
+    assert kappa.shape == shape
 
 
 def test_curvature_wrap_columns_stay_warning_free():
@@ -378,3 +393,68 @@ def test_each_evaluation_takes_one_tv_stencil_per_distinct_plane(monkeypatch, ph
     run_segment(image, phases=phases, lambda_tv=1e-2, dt=8.0, eps_h=2.0, max_iters=20)
     assert calls["weighted_means"] > 1
     assert calls["tv_smooth"] == per_evaluation * calls["weighted_means"]
+
+
+@pytest.mark.parametrize("phases", [1, 2])
+def test_the_direction_is_the_negated_velocity_formula_bit_for_bit(phases):
+    # on the zero image every fit is 0, so the flat rows (zero curvature) have
+    # a zero velocity, whose negation must carry the sign the formula gives it
+    rng = np.random.default_rng(19)
+    phi = rng.uniform(-2.0, 2.0, (phases, 30, 40))
+    phi[:, :4] = 0.0
+    eps_h, lam = 1.1, 0.05
+    for x in (rng.random((30, 40, 1)), np.zeros((30, 40, 1))):
+        sq = softseg.sq_residual(x, region_means(x, LevelSetState(phi, eps_h)))
+        if phases == 1:
+            comps = [sq[1] - sq[0]]
+        else:
+            h1, h2 = heaviside_eps(phi, eps_h)
+            comps = [(sq[3] - sq[1]) * h2 + (sq[2] - sq[0]) * (1.0 - h2),
+                     (sq[3] - sq[2]) * h1 + (sq[1] - sq[0]) * (1.0 - h1)]
+        want = -np.stack([delta_eps(phi[m], eps_h) * (lam * curvature_central(phi[m]) - comps[m])
+                          for m in range(phases)])
+        before = phi.copy()
+        d = levelset._direction(phi, sq, eps_h, lam)
+        assert d.shape == phi.shape and np.array_equal(phi, before)
+        assert d.tobytes() == want.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("phases", [1, 2])
+def test_each_evaluation_builds_the_residual_once_and_moves_no_step_in_place(monkeypatch,
+                                                                           phases):
+    # the velocity reads the residual its accepted evaluation built, and each
+    # trial's level functions are formed once, in the buffer that becomes u
+    calls = {}
+    for name in ("_residual_sums", "weighted_means", "_step_in_place"):
+        count_calls(monkeypatch, calls, softseg, name)
+    image, _, _ = make_phantom("four-phase", 32, 0.05, 2)
+    result, _ = run_segment(image, phases=phases, lambda_tv=1e-2, dt=8.0, eps_h=2.0,
+                            max_iters=20)
+    assert calls["weighted_means"] >= len(result.trace)
+    assert calls["_residual_sums"] == calls["weighted_means"]
+    assert calls["_step_in_place"] == 0
+    if phases == 2:
+        assert calls["weighted_means"] > len(result.trace)  # a trial was rejected
+
+
+@pytest.mark.parametrize("phases, kind, dt, eps_h, bound",
+                         [(1, "two-phase", 1.0, 1.0, 8.0), (2, "four-phase", 2.0, 2.0, 18.5)])
+def test_traced_peak_of_a_level_set_solve(phases, kind, dt, eps_h, bound):
+    # u, the trial u, the direction, the memberships and the residual they
+    # build are the (H, W) planes a step holds: 7 for p = 1 and 14 for p = 2,
+    # with the stencils' strip buffers on top (7.8 and 15.5 planes traced)
+    size = 256
+    image, _, _ = make_phantom(kind, size, 0.05, 0)
+    plane = size * size * np.dtype(np.float64).itemsize
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_segment(image, phases=phases, lambda_tv=1e-2, dt=dt, eps_h=eps_h, max_iters=20)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= bound * plane, f"traced peak {peak / plane:.2f} planes"
