@@ -55,7 +55,7 @@ def heaviside_eps(phi, eps_h):
     if eps_h <= 0:
         raise ValueError(f"eps_h must be > 0, got {eps_h}")
     phi = np.asarray(phi, dtype=np.float64)
-    return _heaviside(phi, eps_h, np.empty(phi.shape))
+    return _heaviside(phi, eps_h, np.empty(phi.shape))[()]  # [()]: a scalar for a scalar
 
 
 def delta_eps(phi, eps_h):
@@ -63,7 +63,7 @@ def delta_eps(phi, eps_h):
     if eps_h <= 0:
         raise ValueError(f"eps_h must be > 0, got {eps_h}")
     phi = np.asarray(phi, dtype=np.float64)
-    return _delta(phi, eps_h, np.empty(phi.shape))
+    return _delta(phi, eps_h, np.empty(phi.shape))[()]
 
 
 @dataclass

@@ -545,9 +545,6 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
 
-    # the TV weight of g: with tv_term, g is the data term's gradient alone
-    g_weight = cfg.lambda_tv if tv_term is None else 0.0
-
     def evaluate(u, y, b, tv_y=None, g=None, tv_b=None):
         # a trial that leaves u unchanged passes lambda sum_n TV(y_n) as tv_y,
         # one that leaves b unchanged gamma TV(b) as tv_b
@@ -555,7 +552,7 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
         if tv_term is None:
             return (u, y, c, b, g), energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g, tv_b)
         # a zero TV weight leaves the residual alone in g; tv_term adds the TV term
-        data = energy(x, y, c, g_weight, cfg.tv_eps, grad_out=g)[1]
+        data = energy(x, y, c, 0.0, cfg.tv_eps, grad_out=g)[1]
         tv_y = tv_term(y)
         return (u, y, c, b, g), (data + tv_y, data, tv_y)
 
@@ -568,8 +565,8 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     # its backtracking exhausts
     def member_block(u, y, c, b, g):
         if g is None:  # a bias step or an exhausted block left none
-            g = np.empty_like(y)
-            energy(x, y, c, g_weight, cfg.tv_eps, b, grad_out=g)
+            g = np.empty_like(y)  # with tv_term, of the data term alone
+            energy(x, y, c, cfg.lambda_tv if tv_term is None else 0.0, cfg.tv_eps, b, grad_out=g)
         d = direction(u, y, c, b, g)
         step0, spare, prev[0] = steps[0], prev[0], None
         if spare is not None:
