@@ -30,6 +30,7 @@ never forms its logits: softmax(u, d, eta, out) takes them strip by strip,
 into a stack the descent reuses (see block_descent).
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,22 +332,33 @@ def fixed_point_step(x, seg, cfg, centroids=None):
     return y + cfg.step_size * velocity, info
 
 
+def _first_extreme(planes, beats, keep):
+    """(labels, extreme) over equal-shaped planes: per element, the index of
+    the first plane that holds the extreme, and that value.
+
+    A running extreme: a plane takes an element only where beats(plane, best)
+    holds strictly, so a tie keeps the lower index, as np.argmax and np.argmin
+    over axis 0 do. planes may be any iterable, also a generator that
+    refills one buffer: only the running extreme is copied.
+    """
+    planes = iter(planes)
+    best = np.array(next(planes))
+    labels = np.zeros(best.shape, dtype=np.intp)
+    wins = np.empty(best.shape, dtype=bool)
+    for n, plane in enumerate(planes, 1):
+        beats(plane, best, out=wins)
+        keep(best, plane, out=best)
+        np.copyto(labels, n, where=wins)
+    return labels, best
+
+
 def hard_mask(seg):
     """Per-pixel argmax over memberships; ties go to the lowest class index.
 
-    A running first maximum over the classes: a class takes the pixel only
-    where it is strictly above the maximum so far, so a tie keeps the lower
-    index. np.argmax(axis=0) would copy the whole stack first.
+    A running first maximum over the classes (np.argmax(axis=0) would copy
+    the whole stack first).
     """
-    y = seg.memberships
-    best = y[0].copy()
-    labels = np.zeros(best.shape, dtype=np.intp)
-    above = np.empty(best.shape, dtype=bool)
-    for n in range(1, y.shape[0]):
-        np.greater(y[n], best, out=above)
-        np.maximum(best, y[n], out=best)
-        np.copyto(labels, n, where=above)
-    return labels
+    return _first_extreme(seg.memberships, np.greater, np.maximum)[0]
 
 
 # Most Lloyd sweeps per k-means restart (a restart stops earlier at its fixed
@@ -354,60 +366,81 @@ def hard_mask(seg):
 KMEANS_ITERS, KMEANS_RESTARTS = 20, 8
 
 
-def _kmeans_once(vals, weights, inverse, num_classes, rng):
-    # k-means++ style seeding over pixels (the same draws as a per-pixel k-means),
-    # then count-weighted Lloyd sweeps over the distinct values; every distance
-    # is sq_residual's, with the P values as a (P, 1, C) image
-    pts = vals[:, None, :]
+def _nearest(x, centers, plane):
+    """(labels, distances): per pixel of x, the index of the nearest center,
+    ties to the lowest, and the distance to it. The distances are
+    sq_residual's, taken one center at a time in plane, a (1, H, W) buffer."""
+    dists = (_residual_sums(x, centers[n:n + 1], out=plane)[0] for n in range(len(centers)))
+    return _first_extreme(dists, np.less, np.minimum)
+
+
+def _draw(d2, cdf, rng):
+    """The index rng.choice(d2.size, p=d2 / d2.sum()) draws, by numpy's rule
+    for it: the first i with cdf[i] / cdf[-1] > rng.random(), where cdf, formed
+    in the buffer of that name, is the cumulative sum of p. A zero total draws
+    uniformly; a non-finite one raises, as choice does on the NaNs it would
+    be handed."""
+    total = d2.sum()
+    if not np.isfinite(total):
+        raise ValueError("k-means++ seed distances have no finite total")
+    if not total > 0:
+        return rng.integers(d2.size)
+    np.cumsum(np.divide(d2, total, out=cdf), out=cdf)
+    last = cdf[-1]
+    return bisect.bisect_right(cdf, rng.random(), key=lambda c: c / last)
+
+
+def _kmeans_once(x, vals, weights, num_classes, rng, work):
+    # k-means++ seeding over the pixels of x, then count-weighted Lloyd sweeps
+    # over the distinct values; every distance is sq_residual's, with the P
+    # values as a (P, 1, C) image. work is a (3, H, W) stack: the distance to
+    # the nearest seed so far, the last seed's distance and the draw's cdf.
+    d2, cdf = work[0].reshape(-1), work[2].reshape(-1)
     centers = np.empty((num_classes, vals.shape[1]))
-    centers[0] = vals[inverse[rng.integers(len(inverse))]]
-    d2 = sq_residual(pts, centers[:1])[0, :, 0]
+    centers[0] = x[divmod(rng.integers(d2.size), x.shape[1])]
     for k in range(1, num_classes):
-        d2_pix = d2[inverse]
-        total = d2_pix.sum()
-        if total > 0:
-            idx = rng.choice(len(inverse), p=d2_pix / total)
+        if k == 1:
+            _residual_sums(x, centers[:1], out=work[:1])
         else:
-            idx = rng.integers(len(inverse))
-        centers[k] = vals[inverse[idx]]
-        d2 = np.minimum(d2, sq_residual(pts, centers[k:k + 1])[0, :, 0])
+            np.minimum(work[0], _residual_sums(x, centers[k - 1:k], out=work[1:2])[0], out=work[0])
+        centers[k] = x[divmod(_draw(d2, cdf, rng), x.shape[1])]
     # once an assignment repeats the last one, so would every later sweep's
+    pts = vals[:, None, :]
     prev = None
     for sweep in range(KMEANS_ITERS + 1):
-        dists = sq_residual(pts, centers)[:, :, 0]
-        labels = np.argmin(dists, axis=0)
+        labels = _first_extreme(sq_residual(pts, centers)[:, :, 0], np.less, np.minimum)[0]
         if sweep == KMEANS_ITERS or np.array_equal(labels, prev):
-            break
+            return centers
         prev = labels
         for k in range(num_classes):
             sel = labels == k
             if sel.any():
-                centers[k] = np.average(vals[sel], axis=0, weights=weights[sel])
-    # pixel-level SSE, summed in pixel order, so restart ties resolve as per pixel
-    sse = float(dists.min(axis=0)[inverse].sum())
-    return labels, centers, sse
+                # np.average(vals[sel], axis=0, weights=weights[sel]) without
+                # its checks: the same products summed over axis 0, over the
+                # total count (an integer, exact in any order)
+                w = weights[sel]
+                centers[k] = (vals[sel] * w[:, None]).sum(axis=0) / w.sum()
 
 
 def _distinct_rows(pts):
-    """np.unique(pts, axis=0, return_inverse=True, return_counts=True) of a
-    (P, C) array, through 1-D uniques only (unique on rows sorts a void dtype).
+    """np.unique(pts, axis=0, return_counts=True) of a (P, C) array, through
+    1-D uniques only (unique on rows sorts a void dtype).
 
     Each channel is ranked on its own and folded into an int64 key that orders
     the rows lexicographically; from the third channel on the key is re-ranked
     before each fold, so it stays below P times the channel's distinct values.
     """
     if pts.shape[1] == 1:
-        vals, inverse, counts = np.unique(pts[:, 0], return_inverse=True, return_counts=True)
-        return vals[:, None], inverse, counts
+        vals, counts = np.unique(pts[:, 0], return_counts=True)
+        return vals[:, None], counts
     key = np.zeros(len(pts), dtype=np.int64)
     for ch in range(pts.shape[1]):
         codes, rank = np.unique(pts[:, ch], return_inverse=True)
         if ch > 1:
             key = np.unique(key, return_inverse=True)[1]
         key = key * len(codes) + rank
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True)
-    return pts[first], inverse, counts
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return pts[first], counts
 
 
 def kmeans_labels(x, num_classes, seed):
@@ -415,21 +448,31 @@ def kmeans_labels(x, num_classes, seed):
     restarts of at most KMEANS_ITERS sweeps each. A restart stops once an
     assignment repeats the previous one: its centers then repeat bit for bit.
 
-    Clusters the distinct values weighted by their pixel counts, which gives
-    the labels of the same algorithm run on every pixel (centers agree up to
-    rounding). Returns (labels, centers) of the restart with the lowest
-    within-cluster SSE; deterministic for a fixed seed. Empty clusters keep
-    their previous center.
+    Each restart draws its k-means++ seeds over the pixels, then clusters the
+    distinct values weighted by their pixel counts, which gives the labels of
+    the same algorithm run on every pixel (centers agree up to rounding).
+    Returns (labels, centers) of the restart with the lowest within-cluster
+    SSE, summed over the pixels in their order (the first restart wins a tie);
+    deterministic for a fixed seed. Empty clusters keep their previous center.
+    No per-pixel index into the distinct values is built: each distinct end
+    state's SSE, and then the labels of the best, come from one pass over the
+    image each, one center at a time.
     """
     x = as_image(x)
-    vals, inverse, counts = _distinct_rows(x.reshape(-1, x.shape[2]))
+    vals, counts = _distinct_rows(x.reshape(-1, x.shape[2]))
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(KMEANS_RESTARTS):
-        labels, centers, sse = _kmeans_once(vals, counts, inverse, num_classes, rng)
-        if best is None or sse < best[2]:
-            best = (labels, centers, sse)
-    return best[0][inverse].reshape(x.shape[:2]), best[1]
+    work = np.empty((3,) + x.shape[:2])
+    ends = [_kmeans_once(x, vals, counts, num_classes, rng, work) for _ in range(KMEANS_RESTARTS)]
+    del work  # before the passes, which hold three planes of their own
+    # the SSE of each distinct end state, summed in pixel order; min keeps the
+    # first restart of the lowest, and the labels are formed for it alone
+    plane = np.empty((1,) + x.shape[:2])
+    sse = {}
+    for centers in ends:
+        if centers.tobytes() not in sse:
+            sse[centers.tobytes()] = _nearest(x, centers, plane)[1].sum()
+    best = min(ends, key=lambda centers: sse[centers.tobytes()])
+    return _nearest(x, best, plane)[0], best
 
 
 # Logit magnitude given to the assigned class by the k-means initializer.
@@ -438,7 +481,8 @@ KMEANS_LOGIT_GAP = 4.0
 
 def init_logits(x, cfg, init="random"):
     """Initial logit stack: i.i.d. uniform in [-0.1, 0.1], or near-one-hot
-    logits from a seeded k-means on the pixel values."""
+    logits from kmeans_labels: KMEANS_LOGIT_GAP for the assigned class and 0
+    for the others, each plane written once, with no temporary plane."""
     x = as_image(x)
     shape = (cfg.num_classes,) + x.shape[:2]
     if init == "random":
@@ -446,10 +490,10 @@ def init_logits(x, cfg, init="random"):
         return rng.uniform(-0.1, 0.1, size=shape)
     if init == "kmeans":
         labels, _ = kmeans_labels(x, cfg.num_classes, cfg.seed)
-        z = np.zeros(shape)
-        for n in range(cfg.num_classes):
-            z[n][labels == n] = KMEANS_LOGIT_GAP
-        return z
+        # z[n] = gap[n, labels]; mode "clip" (the labels are in range) lets
+        # take write into z without buffering it
+        gap = KMEANS_LOGIT_GAP * np.eye(cfg.num_classes)
+        return np.take(gap, labels, axis=1, out=np.empty(shape), mode="clip")
     raise ValueError(f"unknown init {init!r}")
 
 

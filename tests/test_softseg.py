@@ -504,12 +504,16 @@ def _assert_matches_kmeans_oracle(x, num_classes, seed):
     assert np.abs(centers - ref_centers).max() <= 1e-12
 
 
+def _quantised_phantom(kind, size, sigma, seed):
+    image, _, _ = make_phantom(kind, size, sigma, seed)
+    return np.round(np.clip(image, 0.0, 1.0) * 255) / 255  # as read from a PGM
+
+
 @pytest.mark.parametrize("kind,num_classes", [("two-phase", 2), ("four-phase", 4)])
 @pytest.mark.parametrize("noise_seed", [1, 2, 101])
 def test_kmeans_matches_per_pixel_oracle_on_phantoms(kind, num_classes, noise_seed):
     for sigma in (0.05, 0.2):
-        image, _, _ = make_phantom(kind, 64, sigma, noise_seed)
-        image = np.round(np.clip(image, 0.0, 1.0) * 255) / 255  # as read from a PGM
+        image = _quantised_phantom(kind, 64, sigma, noise_seed)
         for seed in (0, 3):
             _assert_matches_kmeans_oracle(image, num_classes, seed)
 
@@ -524,7 +528,9 @@ def test_kmeans_stops_at_its_fixed_point(monkeypatch):
         return real_once(*args)
 
     def sq_residual(pts, c, b=None):
-        if len(c) == 2:  # an assignment, not a k-means++ seed distance
+        # a Lloyd assignment: both centres against the (P, 1, C) distinct
+        # values, not a k-means++ seed distance or a pass over the image
+        if pts.shape[1] == 1 and len(c) == 2:
             sweeps[-1] += 1
         return real_sq(pts, c, b)
 
@@ -542,10 +548,107 @@ def _uniform(shape):
 @pytest.mark.parametrize("shape, levels", [((24, 20, 3), 3), ((40, 33, 3), 255), ((9, 7, 2), 5)])
 def test_distinct_rows_match_unique_on_rows(shape, levels):
     pts = (np.round(_uniform(shape) * levels) / levels).reshape(-1, shape[2])
-    want = np.unique(pts, axis=0, return_inverse=True, return_counts=True)
+    want = np.unique(pts, axis=0, return_counts=True)
     got = softseg._distinct_rows(pts)
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind,num_classes", [("two-phase", 2), ("four-phase", 4)])
+def test_kmeans_matches_per_pixel_oracle_at_256(kind, num_classes):
+    _assert_matches_kmeans_oracle(_quantised_phantom(kind, 256, 0.05, 1), num_classes, 0)
+
+
+def _draw_cases():
+    rng = np.random.default_rng(20)
+    for size in (1, 2, 3, 17, 1000, 65537, 200000):
+        w = rng.random(size) ** 3
+        w[rng.random(size) < 0.3] = 0.0  # zero weights are never drawn
+        if not w.any():
+            w[-1] = 0.25
+        yield w
+        single = np.zeros(size)
+        single[rng.integers(size)] = rng.random() + 1e-3
+        yield single
+    yield np.array([1e-300, 0.0, 3e-310, 2.0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_draw_is_rng_choice(seed):
+    # the same index from the same generator state, and the same state after
+    for w in _draw_cases():
+        for trial in range(3):
+            want_rng = np.random.default_rng([seed, trial, len(w)])
+            got_rng = np.random.default_rng([seed, trial, len(w)])
+            want = want_rng.choice(len(w), p=w / w.sum())
+            got = softseg._draw(w, np.empty(len(w)), got_rng)
+            assert got == want and w[got] > 0
+            assert got_rng.integers(2**62) == want_rng.integers(2**62)
+
+
+def test_draw_of_zero_weights_is_uniform_and_of_infinite_ones_raises():
+    want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+    assert softseg._draw(np.zeros(7), np.empty(7), got_rng) == want_rng.integers(7)
+    with pytest.raises(ValueError):
+        softseg._draw(np.array([1.0, np.inf]), np.empty(2), got_rng)
+
+
+def test_kmeans_with_overflowing_distances_raises():
+    # the squared distance of 1e200 to -1e200 overflows; rng.choice, which
+    # drew the seeds before, refused the NaN probabilities it made of it
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        kmeans_labels(np.array([[1e200, -1e200], [0.0, 5.0]]), 2, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_running_minimum_equals_argmin_on_stacks_with_exact_ties(n):
+    stack = np.random.default_rng(n).integers(0, 3, (n, 9, 11)) / 2.0
+    assert (stack == stack.min(axis=0)).sum(axis=0).max() == n
+    labels, least = softseg._first_extreme(stack, np.less, np.minimum)
+    assert labels.dtype == np.intp and np.array_equal(labels, np.argmin(stack, axis=0))
+    assert np.array_equal(least, stack.min(axis=0))
+    def refilled():  # one buffer for every plane, as kmeans_labels hands them
+        buf = np.empty(stack.shape[1:])
+        for plane in stack:
+            buf[...] = plane
+            yield buf
+
+    assert np.array_equal(softseg._first_extreme(refilled(), np.less, np.minimum)[0], labels)
+
+
+@pytest.mark.parametrize("kind,num_classes", [("two-phase", 2), ("four-phase", 4), ("two-phase", 3)])
+def test_kmeans_logits_are_the_scattered_gap(kind, num_classes):
+    image = _quantised_phantom(kind, 64, 0.1, 2)
+    cfg = MsConfig(num_classes=num_classes, seed=4)
+    labels, _ = kmeans_labels(image, num_classes, cfg.seed)
+    want = np.zeros((num_classes,) + image.shape)
+    for n in range(num_classes):
+        want[n][labels == n] = softseg.KMEANS_LOGIT_GAP
+    assert init_logits(image, cfg, "kmeans").tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,num_classes", [("two-phase", 2), ("four-phase", 4)])
+def test_traced_peak_of_kmeans_init(kind, num_classes):
+    # the logits (num_classes planes) are written while the labels (one
+    # plane) are held; k-means itself holds about three planes at its peak (a
+    # running minimum, the labels it forms and a distance buffer). Traced:
+    # 3.15 planes for two classes, 5.08 for four. A per-pixel index into the
+    # distinct values, the distances of all classes as one stack, or a
+    # temporary plane per class while the logits are written would raise it.
+    image = _quantised_phantom(kind, 256, 0.05, 1)
+    cfg = MsConfig(num_classes=num_classes, seed=0)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        init_logits(image, cfg, "kmeans")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 5.2 * image.nbytes, f"traced peak {peak / image.nbytes:.2f} planes"
 
 
 @pytest.mark.parametrize("x,num_classes", [
