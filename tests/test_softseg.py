@@ -632,7 +632,7 @@ def test_traced_peak_of_kmeans_init(kind, num_classes):
     # the logits (num_classes planes) are written while the labels (one
     # plane) are held; k-means itself holds about three planes at its peak (a
     # running minimum, the labels it forms and a distance buffer). Traced:
-    # 3.15 planes for two classes, 5.08 for four. A per-pixel index into the
+    # 3.14 planes for two classes, 5.01 for four. A per-pixel index into the
     # distinct values, the distances of all classes as one stack, or a
     # temporary plane per class while the logits are written would raise it.
     image = _quantised_phantom(kind, 256, 0.05, 1)

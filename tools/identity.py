@@ -1,9 +1,9 @@
 """Byte-identity of `msvar segment` outputs between two source checkouts.
 
-    python3 tools/identity.py PARENT_CHECKOUT [--workload NAME ...] [--seeds 1 2]
+    python3 tools/identity.py PARENT_CHECKOUT
 
 Runs from the root of a source checkout. For each benchmark workload (the
-flags and phantoms of perfbench/run.py) and each phantom seed, it writes the
+flags and phantoms of perfbench/run.py) and phantom seeds 1 and 2, it writes the
 phantom's image.pgm once, then runs `msvar segment` on it with that
 workload's flags from this checkout's src/ and from PARENT_CHECKOUT/src/,
 each in a fresh interpreter under MSVAR_THREADS=1. It compares the exit
@@ -25,6 +25,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import phantom  # noqa: E402
 from run import WORKLOADS  # noqa: E402
+
+SEEDS = (1, 2)
 
 # one child per run: imports msvar from the src/ given first, refuses any
 # other copy, and runs the CLI on the remaining arguments
@@ -86,16 +88,14 @@ def compare(name, seed, parent, work):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the checkout to compare against")
-    parser.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS), default=list(WORKLOADS))
-    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
     if not (parent / "src" / "msvar" / "cli.py").is_file():
         parser.error(f"{parent} is not an msvar source checkout")
     failed = False
     with tempfile.TemporaryDirectory(prefix="msvar-identity-") as tmp:
-        for name in args.workload:
-            for seed in args.seeds:
+        for name in WORKLOADS:
+            for seed in SEEDS:
                 problems = compare(name, seed, parent, Path(tmp))
                 failed = failed or bool(problems)
                 print(f"{name} seed {seed}: {'; '.join(problems) or 'identical'}", flush=True)
