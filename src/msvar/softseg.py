@@ -367,11 +367,11 @@ KMEANS_ITERS, KMEANS_RESTARTS = 20, 8
 
 
 def _nearest(x, centers, plane):
-    """(labels, distances): per pixel of x, the index of the nearest center,
-    ties to the lowest, and the distance to it. The distances are
-    sq_residual's, taken one center at a time in plane, a (1, H, W) buffer."""
+    """Per pixel of x, the index of the nearest center, ties to the lowest.
+    The distances are sq_residual's, taken one center at a time in plane, a
+    (1, H, W) buffer."""
     dists = (_residual_sums(x, centers[n:n + 1], out=plane)[0] for n in range(len(centers)))
-    return _first_extreme(dists, np.less, np.minimum)
+    return _first_extreme(dists, np.less, np.minimum)[0]
 
 
 def _draw(d2, cdf, rng):
@@ -390,35 +390,40 @@ def _draw(d2, cdf, rng):
     return bisect.bisect_right(cdf, rng.random(), key=lambda c: c / last)
 
 
-def _kmeans_once(x, vals, weights, num_classes, rng, work):
-    # k-means++ seeding over the pixels of x, then count-weighted Lloyd sweeps
-    # over the distinct values; every distance is sq_residual's, with the P
-    # values as a (P, 1, C) image. work is a (3, H, W) stack: the distance to
-    # the nearest seed so far, the last seed's distance and the draw's cdf.
-    d2, cdf = work[0].reshape(-1), work[2].reshape(-1)
-    centers = np.empty((num_classes, vals.shape[1]))
-    centers[0] = x[divmod(rng.integers(d2.size), x.shape[1])]
-    for k in range(1, num_classes):
-        if k == 1:
-            _residual_sums(x, centers[:1], out=work[:1])
-        else:
-            np.minimum(work[0], _residual_sums(x, centers[k - 1:k], out=work[1:2])[0], out=work[0])
-        centers[k] = x[divmod(_draw(d2, cdf, rng), x.shape[1])]
-    # once an assignment repeats the last one, so would every later sweep's
+def _kmeans_once(vals, counts, num_classes, rng, buf):
+    # k-means++ seeding, then count-weighted Lloyd sweeps, over the P distinct
+    # values as a (P, 1, C) image. A value is drawn with weight count * d^2 to
+    # its nearest seed so far; the first by count alone, _draw's rule on the
+    # counts' cdf in buf[3]. buf[:3] holds those weights, one seed's distances
+    # and the draw's cdf. Returns the final centers and their weighted SSE.
     pts = vals[:, None, :]
+    weights, dist, cdf, count_cdf = buf
+    centers = np.empty((num_classes, vals.shape[1]))
+    centers[0] = vals[bisect.bisect_right(count_cdf, rng.random(), key=lambda c: c / count_cdf[-1])]
+    for k in range(1, num_classes):
+        # count * min d^2, bit for bit, as the minimum of count * d^2: a
+        # positive factor keeps the order of the rounded products
+        d = weights if k == 1 else dist
+        _residual_sums(pts, centers[k - 1:k], out=d[None, :, None])
+        d *= counts
+        if k > 1:
+            np.minimum(weights, d, out=weights)
+        centers[k] = vals[_draw(weights, cdf, rng)]
+    # once an assignment repeats the last one, so would every later sweep's
     prev = None
     for sweep in range(KMEANS_ITERS + 1):
-        labels = _first_extreme(sq_residual(pts, centers)[:, :, 0], np.less, np.minimum)[0]
+        labels, d_min = _first_extreme(sq_residual(pts, centers)[:, :, 0], np.less, np.minimum)
         if sweep == KMEANS_ITERS or np.array_equal(labels, prev):
-            return centers
+            return centers, np.einsum("i,i->", counts, d_min)
         prev = labels
+        del d_min  # freed before the update's gathers, not after the next sweep
         for k in range(num_classes):
             sel = labels == k
             if sel.any():
-                # np.average(vals[sel], axis=0, weights=weights[sel]) without
+                # np.average(vals[sel], axis=0, weights=counts[sel]) without
                 # its checks: the same products summed over axis 0, over the
-                # total count (an integer, exact in any order)
-                w = weights[sel]
+                # total count (a sum of integers, exact in any order)
+                w = counts[sel]
                 centers[k] = (vals[sel] * w[:, None]).sum(axis=0) / w.sum()
 
 
@@ -448,31 +453,25 @@ def kmeans_labels(x, num_classes, seed):
     restarts of at most KMEANS_ITERS sweeps each. A restart stops once an
     assignment repeats the previous one: its centers then repeat bit for bit.
 
-    Each restart draws its k-means++ seeds over the pixels, then clusters the
-    distinct values weighted by their pixel counts, which gives the labels of
-    the same algorithm run on every pixel (centers agree up to rounding).
-    Returns (labels, centers) of the restart with the lowest within-cluster
-    SSE, summed over the pixels in their order (the first restart wins a tie);
+    All but the labels works on the histogram (the distinct values and their
+    pixel counts), so the result depends on it alone. Each restart draws its
+    k-means++ seeds over the values, with the distribution of a draw over the
+    pixels, runs count-weighted Lloyd sweeps over them and takes its
+    within-cluster SSE from its last sweep; the labels equal those of the same
+    algorithm run on every pixel (centers agree up to rounding). Returns
+    (labels, centers) of the restart with the lowest SSE (the first wins a
+    tie), the labels from one pass over the image, one center at a time;
     deterministic for a fixed seed. Empty clusters keep their previous center.
-    No per-pixel index into the distinct values is built: each distinct end
-    state's SSE, and then the labels of the best, come from one pass over the
-    image each, one center at a time.
     """
     x = as_image(x)
     vals, counts = _distinct_rows(x.reshape(-1, x.shape[2]))
+    counts = counts.astype(np.float64)
     rng = np.random.default_rng(seed)
-    work = np.empty((3,) + x.shape[:2])
-    ends = [_kmeans_once(x, vals, counts, num_classes, rng, work) for _ in range(KMEANS_RESTARTS)]
-    del work  # before the passes, which hold three planes of their own
-    # the SSE of each distinct end state, summed in pixel order; min keeps the
-    # first restart of the lowest, and the labels are formed for it alone
-    plane = np.empty((1,) + x.shape[:2])
-    sse = {}
-    for centers in ends:
-        if centers.tobytes() not in sse:
-            sse[centers.tobytes()] = _nearest(x, centers, plane)[1].sum()
-    best = min(ends, key=lambda centers: sse[centers.tobytes()])
-    return _nearest(x, best, plane)[0], best
+    buf = np.empty((4, len(vals)))
+    np.cumsum(np.divide(counts, counts.sum(), out=buf[3]), out=buf[3])  # as _draw forms it
+    ends = [_kmeans_once(vals, counts, num_classes, rng, buf) for _ in range(KMEANS_RESTARTS)]
+    best = min(ends, key=lambda end: end[1])[0]
+    return _nearest(x, best, np.empty((1,) + x.shape[:2])), best
 
 
 # Logit magnitude given to the assigned class by the k-means initializer.

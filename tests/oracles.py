@@ -370,21 +370,27 @@ def best_permutation_ious(pred, gt, num_classes):
 
 
 def kmeans_loop(x, num_classes, seed, iters=20, restarts=8):
-    """Per-pixel k-means: k-means++ seeding and Lloyd sweeps over every pixel,
-    best of several seeded restarts by within-cluster SSE (first one wins a tie)."""
+    """Per-pixel k-means: k-means++ seeding over the distinct values, then
+    Lloyd sweeps over every pixel, best of several seeded restarts by
+    within-cluster SSE (first one wins a tie). A seed is drawn as rng.choice
+    over the distinct values with weights count * (squared distance to the
+    nearest seed so far), count alone for the first: the distribution of a
+    draw over the pixels."""
 
     def once(pts, rng):
+        vals, counts = np.unique(pts, axis=0, return_counts=True)
         centers = np.empty((num_classes, pts.shape[1]))
-        centers[0] = pts[rng.integers(len(pts))]
-        d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+        centers[0] = vals[rng.choice(len(vals), p=counts / counts.sum())]
+        d2 = np.sum((vals - centers[0]) ** 2, axis=1)
         for k in range(1, num_classes):
-            total = d2.sum()
+            w = counts * d2
+            total = w.sum()
             if total > 0:
-                idx = rng.choice(len(pts), p=d2 / total)
+                idx = rng.choice(len(vals), p=w / total)
             else:
-                idx = rng.integers(len(pts))
-            centers[k] = pts[idx]
-            d2 = np.minimum(d2, np.sum((pts - centers[k]) ** 2, axis=1))
+                idx = rng.integers(len(vals))
+            centers[k] = vals[idx]
+            d2 = np.minimum(d2, np.sum((vals - centers[k]) ** 2, axis=1))
         for _ in range(iters):
             dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             labels = np.argmin(dists, axis=1)

@@ -541,6 +541,32 @@ def test_kmeans_stops_at_its_fixed_point(monkeypatch):
     assert max(sweeps) <= 2
 
 
+@pytest.mark.parametrize("kind,num_classes", [("two-phase", 2), ("four-phase", 4)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_kmeans_depends_only_on_the_histogram(kind, num_classes, seed, monkeypatch):
+    # seeds, sweeps and the choice of restart see only the distinct values and
+    # their counts, which a pixel permutation keeps; the image itself is read
+    # by the label pass alone, one _residual_sums call per class
+    image = _quantised_phantom(kind, 64, 0.05, 1)
+    perm = np.random.default_rng(5).permutation(image.size)
+    shuffled = image.reshape(-1)[perm].reshape(image.shape)
+    passes = []
+    real_sums = softseg._residual_sums
+
+    def residual_sums(x, *args, **kwargs):
+        if np.may_share_memory(x, image) or np.may_share_memory(x, shuffled):
+            passes.append(0)
+        return real_sums(x, *args, **kwargs)
+
+    monkeypatch.setattr(softseg, "_residual_sums", residual_sums)
+    labels, centers = kmeans_labels(image, num_classes, seed)
+    assert len(passes) == num_classes
+    got_labels, got_centers = kmeans_labels(shuffled, num_classes, seed)
+    assert len(passes) == 2 * num_classes
+    assert got_centers.tobytes() == centers.tobytes()
+    assert np.array_equal(got_labels.reshape(-1), labels.reshape(-1)[perm])
+
+
 def _uniform(shape):
     return np.random.default_rng(7).random(shape)
 
@@ -594,8 +620,9 @@ def test_draw_of_zero_weights_is_uniform_and_of_infinite_ones_raises():
 
 
 def test_kmeans_with_overflowing_distances_raises():
-    # the squared distance of 1e200 to -1e200 overflows; rng.choice, which
-    # drew the seeds before, refused the NaN probabilities it made of it
+    # the squared distance of 1e200 to -1e200 overflows, and with it the
+    # total of the k-means++ weights over the distinct values; _draw raises
+    # on it, as rng.choice does on the NaN probabilities such a total makes
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         kmeans_labels(np.array([[1e200, -1e200], [0.0, 5.0]]), 2, 0)
 
@@ -630,11 +657,13 @@ def test_kmeans_logits_are_the_scattered_gap(kind, num_classes):
 @pytest.mark.parametrize("kind,num_classes", [("two-phase", 2), ("four-phase", 4)])
 def test_traced_peak_of_kmeans_init(kind, num_classes):
     # the logits (num_classes planes) are written while the labels (one
-    # plane) are held; k-means itself holds about three planes at its peak (a
-    # running minimum, the labels it forms and a distance buffer). Traced:
-    # 3.14 planes for two classes, 5.01 for four. A per-pixel index into the
-    # distinct values, the distances of all classes as one stack, or a
-    # temporary plane per class while the logits are written would raise it.
+    # plane) are held; k-means itself holds about three planes at its peak,
+    # in its one pass over the image (a running minimum, the labels it forms
+    # and a distance buffer): seeds and sweeps hold only arrays the size of
+    # the histogram. Traced: 3.15 planes for two classes, 5.00 for four. A
+    # per-pixel index into the distinct values, the distances of all classes
+    # as one stack, or a temporary plane per class while the logits are
+    # written would raise it.
     image = _quantised_phantom(kind, 256, 0.05, 1)
     cfg = MsConfig(num_classes=num_classes, seed=0)
     tracing = tracemalloc.is_tracing()
