@@ -5,6 +5,10 @@ Subcommands:
   segment  run one of the solvers on an image, writing mask/trace/config
   eval     print a CSV metrics row comparing two label maps
 
+Each segment flag is read by the solvers its help names; given to another
+solver it is a usage error. run.json records the solver, the input and the
+keys that solver read, and --config drops every other key.
+
 Exit codes: 0 success, 1 usage error, 2 I/O or validation error,
 3 solver did not converge (outputs are still written).
 """
@@ -27,24 +31,17 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NOCONV = 3
 
-# Fully resolved parameter set recorded in run.json; a run can be reproduced
-# byte-identically from that file alone. Every key but input is also a flag.
-SEGMENT_DEFAULTS = {
-    "solver": "ms",
-    "input": None,
-    "classes": 2,
-    "phases": 1,
-    "lambda": 1e-3,
-    "gamma": 0.1,
-    "eta": 0.5,
-    "dt": 0.5,
-    "eps_h": 1.0,
-    "max_iters": 500,
-    "rel_tol": 1e-6,
-    "tv_eps": 1e-8,
-    "seed": 0,
-    "init": "random",
-}
+# The keys each solver reads, with their defaults. The segment flags, the
+# config keys and types --config loads, and the keys run.json records are
+# views of this table; a run can be reproduced byte-identically from its
+# run.json alone.
+_MS_READS = {"classes": 2, "lambda": 1e-3, "eta": 0.5, "max_iters": 500, "rel_tol": 1e-6,
+             "tv_eps": 1e-8, "seed": 0, "init": "random"}
+READS = {"ms": _MS_READS, "ms-bias": {**_MS_READS, "gamma": 0.1},
+         "levelset": {"phases": 1, "lambda": 1e-3, "dt": 0.5, "eps_h": 1.0, "max_iters": 500,
+                      "rel_tol": 1e-6, "tv_eps": 1e-8, "seed": 0}}
+# every key any solver reads, each with one flag
+FLAGS = {key: default for reads in READS.values() for key, default in reads.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,23 +87,32 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def _config_value(key, value):
+def _config_value(key, value, default):
     # a stored value has its flag's type (input: a path string); float flags
     # take ints as well, and no flag takes a bool
-    kind = str if key == "input" else type(SEGMENT_DEFAULTS[key])
+    kind = str if default is None else type(default)
     if type(value) not in ((int, float) if kind is float else (kind,)):
         raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
     return value
 
 
 def _resolve_segment_params(args):
-    params = dict(SEGMENT_DEFAULTS)
+    stored = {}
     if args.config is not None:
-        loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict):
+        stored = json.loads(Path(args.config).read_text())
+        if not isinstance(stored, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
-        params.update({k: _config_value(k, loaded[k]) for k in SEGMENT_DEFAULTS if k in loaded})
-    params.update({k: v for k, v in vars(args).items() if k in SEGMENT_DEFAULTS and v is not None})
+    # the solver comes first (flag, config, "ms"): its keys are the flags it
+    # accepts and the config keys it keeps; the config's other keys are dropped
+    solver = args.solver or _config_value("solver", stored.get("solver", "ms"), "ms")
+    if solver not in READS:
+        raise UsageError(f"unknown solver {solver!r}")
+    params = {"input": None, **READS[solver]}
+    for key in FLAGS:
+        if getattr(args, key) is not None and key not in params:
+            raise UsageError(f"--{key.replace('_', '-')} is not read by solver {solver!r}")
+    params.update({k: _config_value(k, stored[k], params[k]) for k in params if k in stored})
+    params.update({k: v for k, v in vars(args).items() if k in params and v is not None})
     if len(args.paths) == 2:
         params["input"], out_dir = args.paths
     elif len(args.paths) == 1 and params["input"] is not None:
@@ -114,9 +120,9 @@ def _resolve_segment_params(args):
     else:
         raise UsageError("expected INPUT OUT_DIR (or --config with a stored input and OUT_DIR)")
     for key, allowed in CHOICES.items():
-        if params[key] not in allowed:
+        if key in params and params[key] not in allowed:
             raise UsageError(f"unknown {key} {params[key]!r}")
-    return params, Path(out_dir)
+    return {"solver": solver, **params}, Path(out_dir)
 
 
 class UsageError(Exception):
@@ -141,7 +147,7 @@ SOLVE = {
 
 # Keys whose flag takes only these values; a --config value outside them is a
 # usage error like the flag's.
-CHOICES = {"solver": SOLVE, "init": ("random", "kmeans")}
+CHOICES = {"init": ("random", "kmeans")}
 
 
 def cmd_segment(args):
@@ -202,12 +208,15 @@ def build_parser():
     p_synth.add_argument("seed", type=int)
     p_synth.add_argument("out_dir")
 
-    p_seg = sub.add_parser("segment", help="segment an image")
-    for key, default in SEGMENT_DEFAULTS.items():
-        if key != "input":
-            p_seg.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                               choices=CHOICES.get(key))
-    p_seg.add_argument("--config", help="run.json from a previous run; flags override")
+    p_seg = sub.add_parser("segment", help="segment an image", description="A flag's help names "
+                           "the solvers that read it, with their defaults.")
+    p_seg.add_argument("--solver", choices=READS, help="default ms")
+    for key, default in FLAGS.items():
+        readers = [f"{solver}: {reads[key]}" for solver, reads in READS.items() if key in reads]
+        p_seg.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           choices=CHOICES.get(key), help=", ".join(readers))
+    p_seg.add_argument("--config", help="run.json of an earlier run; flags override it, and "
+                       "keys its solver does not read are dropped")
     p_seg.add_argument("paths", nargs="+", metavar="INPUT OUT_DIR")
 
     p_eval = sub.add_parser("eval", help="compare two label maps")

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import msvar
-from msvar import pnm
-from msvar.cli import SOLVE, main
+from msvar import cli, pnm
+from msvar.cli import READS, SOLVE, main
 from msvar.levelset import initial_state, levelset_energy
 
 
@@ -137,8 +137,9 @@ def _segment_edge_case(tmp_path, solver, case, *flags):
     n = 2 ** phases if solver == "levelset" else classes
     pnm.save_image(tmp_path / "image.pgm", image)
     out = tmp_path / "run"
-    code = run(["segment", "--solver", solver, "--classes", classes, "--phases", phases,
-                "--max-iters", 50, *flags, tmp_path / "image.pgm", out])
+    size = ["--phases", phases] if solver == "levelset" else ["--classes", classes]
+    code = run(["segment", "--solver", solver, *size, "--max-iters", 50, *flags,
+                tmp_path / "image.pgm", out])
     assert code in (0, 3)
     mask = pnm.load_labelmap(out / "mask.pgm")
     assert mask.shape == image.shape[:2] and mask.max() < n
@@ -200,42 +201,139 @@ def test_segment_determinism(tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
-def test_segment_run_json_round_trip(tmp_path):
+# the keys each solver reads, written out apart from the CLI's table
+MS_KEYS = ["classes", "lambda", "eta", "max_iters", "rel_tol", "tv_eps", "seed", "init"]
+SOLVER_KEYS = {"ms": MS_KEYS, "ms-bias": MS_KEYS + ["gamma"],
+               "levelset": ["phases", "lambda", "dt", "eps_h", "max_iters", "rel_tol", "tv_eps",
+                            "seed"]}
+# every key at the default that run.json recorded for every solver before it
+# recorded only the keys its solver reads
+OLD_DEFAULTS = {"classes": 2, "phases": 1, "lambda": 1e-3, "gamma": 0.1, "eta": 0.5, "dt": 0.5,
+                "eps_h": 1.0, "max_iters": 500, "rel_tol": 1e-6, "tv_eps": 1e-8, "seed": 0,
+                "init": "random"}
+# a value other than the default for every key
+NON_DEFAULTS = {"classes": 3, "phases": 2, "lambda": 2e-3, "gamma": 0.25, "eta": 0.25,
+                "dt": 0.25, "eps_h": 1.5, "max_iters": 2, "rel_tol": 1e-5, "tv_eps": 1e-3,
+                "seed": 3, "init": "kmeans"}
+# the number of classes or phases of a short run of each solver
+SIZE_FLAGS = {"ms": ["--classes", 2], "ms-bias": ["--classes", 2], "levelset": ["--phases", 1]}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _assert_same_outputs(solver, out1, out2):
+    for name in ["mask.pgm", "trace.csv"] + (["bias.bin"] if solver == "ms-bias" else []):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVER_KEYS))
+def test_segment_run_json_round_trip(tmp_path, solver):
     data = synth(tmp_path)
     out1 = tmp_path / "r1"
-    assert run(["segment", "--solver", "ms", "--classes", 2, "--seed", 9,
+    assert run(["segment", "--solver", solver, *SIZE_FLAGS[solver], "--seed", 9,
                 "--max-iters", 50, data / "image.pgm", out1]) == 0
     out2 = tmp_path / "r2"
     assert run(["segment", "--config", out1 / "run.json", out2]) == 0
-    assert (out1 / "mask.pgm").read_bytes() == (out2 / "mask.pgm").read_bytes()
-    assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+    _assert_same_outputs(solver, out1, out2)
+    assert (out1 / "run.json").read_bytes() == (out2 / "run.json").read_bytes()
 
 
-def test_segment_records_every_flag_in_run_json(tmp_path):
+@pytest.mark.parametrize("solver", sorted(SOLVER_KEYS))
+def test_segment_records_every_flag_in_run_json(tmp_path, solver):
     data = synth(tmp_path)
-    flags = {"solver": "ms", "classes": 3, "phases": 2, "lambda": 2e-3, "gamma": 0.25,
-             "eta": 0.25, "dt": 0.25, "eps_h": 1.5, "max_iters": 2, "rel_tol": 1e-5,
-             "tv_eps": 1e-3, "seed": 3, "init": "kmeans"}
-    argv = [a for k, v in flags.items() for a in ("--" + k.replace("_", "-"), v)]
+    flags = {"solver": solver, **{k: NON_DEFAULTS[k] for k in SOLVER_KEYS[solver]}}
+    assert all(flags[k] != READS[solver][k] for k in SOLVER_KEYS[solver])
+    argv = [a for k, v in flags.items() for a in (_flag(k), v)]
     assert run(["segment", *argv, data / "image.pgm", tmp_path / "run"]) in (0, 3)
     stored = json.loads((tmp_path / "run" / "run.json").read_text())
+    assert set(stored) == set(flags) | {"input", "command", "results"}
     assert {k: stored[k] for k in flags} == flags
     assert [type(stored[k]) for k in flags] == [type(v) for v in flags.values()]
 
 
-def test_segment_config_with_retired_beta_key_loads(tmp_path):
+@pytest.mark.parametrize("solver", sorted(SOLVER_KEYS))
+def test_segment_config_with_retired_beta_key_loads(tmp_path, solver):
     data = synth(tmp_path)
     out1 = tmp_path / "r1"
-    assert run(["segment", "--solver", "ms", "--classes", 2, "--seed", 9,
+    assert run(["segment", "--solver", solver, *SIZE_FLAGS[solver], "--seed", 9,
                 "--max-iters", 20, data / "image.pgm", out1]) == 0
     stored = json.loads((out1 / "run.json").read_text())
-    assert "beta" not in stored
-    stored["beta"] = 0.0  # written by versions that still had the --beta flag
+    unread = {k: v for k, v in OLD_DEFAULTS.items() if k not in SOLVER_KEYS[solver]}
+    assert not set(stored) & set(unread) and "beta" not in stored
+    # written by versions that recorded every key, and by those that still had --beta
+    stored.update(unread, beta=0.0)
     (tmp_path / "old.json").write_text(json.dumps(stored))
     out2 = tmp_path / "r2"
     assert run(["segment", "--config", tmp_path / "old.json", out2]) == 0
-    assert (out1 / "mask.pgm").read_bytes() == (out2 / "mask.pgm").read_bytes()
-    assert "beta" not in json.loads((out2 / "run.json").read_text())
+    _assert_same_outputs(solver, out1, out2)
+    assert not set(json.loads((out2 / "run.json").read_text())) & {"beta", *unread}
+
+
+@pytest.mark.parametrize("solver, key", [(s, k) for s in sorted(SOLVER_KEYS)
+                                         for k in OLD_DEFAULTS if k not in SOLVER_KEYS[s]])
+def test_segment_rejects_a_flag_its_solver_does_not_read(tmp_path, capsys, solver, key):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    argv = ["segment", "--solver", solver, _flag(key), NON_DEFAULTS[key], data / "image.pgm"]
+    assert run(argv + [out]) == 1
+    err = capsys.readouterr().err
+    assert _flag(key) in err and f"'{solver}'" in err
+    assert not out.exists()
+
+
+def test_segment_rejects_a_flag_the_configs_solver_does_not_read(tmp_path, capsys):
+    data = synth(tmp_path)
+    out1 = tmp_path / "r1"
+    assert run(["segment", "--solver", "levelset", "--max-iters", 2, data / "image.pgm",
+                out1]) in (0, 3)
+    capsys.readouterr()
+    out2 = tmp_path / "r2"
+    assert run(["segment", "--config", out1 / "run.json", "--classes", 4, out2]) == 1
+    err = capsys.readouterr().err
+    assert "--classes" in err and "'levelset'" in err
+    assert not out2.exists()
+
+
+def test_readme_flag_table_matches_the_solvers_keys():
+    # README's per-solver flag table: one row per key, a default where the solver reads it
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = [line.split("|")[1:-1] for line in text.splitlines() if line.startswith("| `--")]
+    table = {}
+    for flag, *cells in rows:
+        key = flag.split("`")[1][2:].replace("-", "_")
+        for solver, cell in zip(["ms", "ms-bias", "levelset"], cells):
+            if cell.strip():
+                table.setdefault(solver, {})[key] = cell.strip().strip("`")
+    assert {s: set(t) for s, t in table.items()} == {s: set(r) for s, r in READS.items()}
+    for solver, reads in READS.items():
+        for key, default in reads.items():
+            value = table[solver][key]
+            assert (value == default) if isinstance(default, str) else float(value) == default
+
+
+class _Recorded(Exception):
+    pass
+
+
+@pytest.mark.parametrize("solver, key", [(s, k) for s in sorted(READS) for k in READS[s]])
+def test_segment_every_read_key_reaches_its_solver(tmp_path, monkeypatch, solver, key):
+    # a key in the table that no solver call reads would be a knob that does nothing
+    calls = []
+    for name in ("minimize_ms", "minimize_ms_bias", "segment_levelset"):
+        def record(image, *args, name=name, **kwargs):
+            calls.append((name, args, kwargs))
+            raise _Recorded
+        monkeypatch.setattr(cli, name, record)
+    pnm.save_image(tmp_path / "image.pgm", np.linspace(0.0, 1.0, 64).reshape(8, 8, 1))
+    assert NON_DEFAULTS[key] != READS[solver][key]
+    for flags in ([], [_flag(key), NON_DEFAULTS[key]]):
+        with pytest.raises(_Recorded):
+            run(["segment", "--solver", solver, *flags, tmp_path / "image.pgm", tmp_path / "out"])
+    called = {"ms": "minimize_ms", "ms-bias": "minimize_ms_bias", "levelset": "segment_levelset"}
+    assert [c[0] for c in calls] == [called[solver]] * 2 and calls[0] != calls[1]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config, key", [
