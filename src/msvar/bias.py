@@ -34,7 +34,10 @@ def bias_ms_loss(x, seg, b, cfg, gamma):
     """Bias-corrected loss; returns (loss, data_term, tv_y_term, tv_b_term).
 
     Centroids are recomputed internally via bias_centroids. With b identically
-    1 this reduces exactly to ms_loss (with tv_b_term = 0).
+    1 this reduces to ms_loss (with tv_b_term = 0): exactly for three or more
+    classes, and up to about one rounding in the TV term for two, where
+    ms_loss takes it as two_class_tv's 2 lambda TV(y_1) and this sums
+    lambda TV(y_n) over both planes.
     """
     x = as_image(x)
     y = seg.memberships

@@ -45,6 +45,11 @@ FLAGS = {key: default for reads in READS.values() for key, default in reads.item
 
 
 class _Parser(argparse.ArgumentParser):
+    # a flag is taken only as spelled out: argparse would otherwise run
+    # --max-it as --max-iters (subcommand parsers are of this class too)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # the exit-code contract reserves 1 for usage errors (argparse uses 2)
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

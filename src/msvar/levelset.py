@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import as_image, strip_rows, tv_smooth
-from .softseg import MsConfig, Result, block_descent, energy, sq_residual, weighted_means
+from .softseg import (MsConfig, Result, block_descent, energy, sq_residual, two_class_tv,
+                      weighted_means)
 
 # Added to |grad phi|^3 in the curvature denominator.
 CURVATURE_GUARD = 1e-8
@@ -266,11 +267,12 @@ def evolve_step(x, state):
 
 def _tv_term(chi, lambda_tv, tv_eps):
     """(lambda / 2) sum_n TV(chi_n), 0 when lambda is. For p = 1, chi_0 = 1 - chi_1
-    has the same TV, so the term is taken as lambda TV(chi_1), one stencil."""
+    has the same TV, so the term is softseg.two_class_tv's lambda TV(chi_1), one
+    stencil."""
+    if chi.shape[0] == 2:
+        return two_class_tv(chi, 0.5 * lambda_tv, tv_eps)
     if lambda_tv == 0.0:
         return 0.0
-    if chi.shape[0] == 2:
-        return lambda_tv * tv_smooth(chi[1], tv_eps)
     return 0.5 * lambda_tv * sum(tv_smooth(c, tv_eps) for c in chi)
 
 
@@ -347,7 +349,7 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
         initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed).phi,
         lambda phi, out=None: memberships(LevelSetState(phi, eps_h), out),
         lambda phi, y, c, b, sq: _direction(phi, sq, eps_h, lambda_tv), fixed_step=True,
-        tv_term=lambda chi: _tv_term(chi, lambda_tv, tv_eps))
+        tv_term=lambda chi, _: _tv_term(chi, lambda_tv, tv_eps))
     labels = hard_labels(LevelSetState(phi, eps_h))
     means = np.zeros((cfg.num_classes, x.shape[2]))
     for k in range(cfg.num_classes):

@@ -28,10 +28,15 @@ the residual and the memberships, with or without g, and the TV value and
 gradient are taken over strips of grid.STRIP elements. A logit trial
 never forms its logits: softmax(u, d, eta, out) takes them strip by strip,
 into a stack the descent reuses (see block_descent).
+
+Two classes without a bias field descend one plane, u = z_1 - z_0:
+softmax((0, u)) is two_class_memberships(u), the two TV terms are
+two_class_tv's one stencil, and each trial's u is formed once, in a buffer
+that becomes u (see _softmax_descent).
 """
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,6 +113,47 @@ def softmax(logits, d=None, eta=0.0, out=None):
         np.exp(t, out=t)
         t /= np.sum(t, axis=0, out=s)
     return out
+
+
+@np.errstate(invalid="ignore")  # an infinite u is reported by the isfinite check
+def two_class_memberships(u, out=None):
+    """Memberships (y_0, y_1) = softmax((0, u)) of one (H, W) logit difference
+    u = z_1 - z_0, as a (2, H, W) stack, written into out when given.
+
+    Walks strips of STRIP pixels with softmax's own operations on the logits
+    (0, u): m = max(u, 0), e_0 = exp(-m), e_1 = exp(u - m) (so one of the
+    two is exp(0) = 1 at each pixel) and y_n = e_n / (e_0 + e_1), which are
+    softmax(np.stack([0 * u, u])) bit for bit. A non-finite u raises
+    ValueError, as softmax does.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if out is None:
+        out = np.empty((2,) + u.shape)
+    u, y = u.reshape(-1), out.reshape(2, -1)
+    s_all = np.empty(min(STRIP, u.size))  # e_0 + e_1
+    for i in range(0, u.size, STRIP):
+        j = min(i + STRIP, u.size)
+        us, s, y0, y1 = u[i:j], s_all[: j - i], y[0, i:j], y[1, i:j]
+        np.maximum(us, 0.0, out=y0)
+        np.subtract(us, y0, out=y1)
+        if not np.isfinite(np.min(y1)):  # u - max(u, 0) is -inf or nan where u is not finite
+            raise ValueError("logits contain non-finite values")
+        np.negative(y0, out=y0)
+        np.exp(y0, out=y0)
+        np.exp(y1, out=y1)
+        np.add(y0, y1, out=s)
+        y0 /= s
+        y1 /= s
+    return out
+
+
+def _chain_two_class(y, g):
+    """dE/du = y_0 y_1 (g_1 - g_0), the gradient g in memberships y =
+    two_class_memberships(u) pulled back to u, as a new (H, W) plane."""
+    d = np.subtract(g[1], g[0])
+    d *= y[0]
+    d *= y[1]
+    return d
 
 
 def _step_in_place(u, d, eta):
@@ -236,14 +282,30 @@ def energy(x, y, c, lambda_tv, tv_eps, b=None, gamma=0.0, tv_y=None, grad_out=No
     return data + tv_y + tv_b, data, tv_y, tv_b
 
 
+def two_class_tv(y, lambda_tv, tv_eps, grad_out=None):
+    """lambda_tv (TV(y_0) + TV(y_1)) of two memberships that sum to 1, taken
+    as 2 lambda_tv TV(y_1): y_0 = 1 - y_1 has the same TV, so one stencil
+    gives the term, equal to the two-plane sum to within about one rounding.
+    Given a (2, H, W) grad_out, adds the term's gradient, 2 lambda_tv
+    grad TV(y_1), into grad_out[1]. A zero lambda_tv gives exactly 0.
+    """
+    if lambda_tv == 0.0:
+        return 0.0
+    w = 2.0 * lambda_tv
+    return w * tv_smooth(y[1], tv_eps, None if grad_out is None else grad_out[1], w)
+
+
 def ms_loss(x, seg, cfg):
     """Relaxed piecewise-constant loss; returns (loss, data_term, tv_term).
 
-    Centroids are recomputed internally from the current memberships.
+    Centroids are recomputed internally from the current memberships. For
+    two classes the TV term is two_class_tv's, as minimize_ms descends it.
     """
     x = as_image(x)
     y = seg.memberships
-    return energy(x, y, weighted_means(x, y), cfg.lambda_tv, cfg.tv_eps)
+    c = weighted_means(x, y)
+    tv_y = two_class_tv(y, cfg.lambda_tv, cfg.tv_eps) if y.shape[0] == 2 else None
+    return energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, tv_y=tv_y)
 
 
 def _chain_softmax(y, grad_y):
@@ -544,7 +606,7 @@ def _bb_step(s_s, s_dg, last):
 
 
 def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=False,
-                  tv_term=None):
+                  tv_term=None, in_place=False):
     """Block-coordinate descent on the energy over memberships y = members(u)
     (and a bias field b).
 
@@ -553,15 +615,17 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     A block whose backtracking exhausts is skipped; when every block does, the
     run stops as "stalled". Returns ((u, y, c, b), trace, stop), c the means.
 
-    members(u, d=None, eta=0.0, out=None) returns the memberships of
-    u - d * eta (of u when d is None) without forming that array; it may
-    write them into out, a stack whose contents are no longer needed, and
-    returns them either way. block_descent owns u: an accepted step moves it
-    in place, rounded as u - (d * eta). While the logits are tried, the
-    trials write into the current memberships' stack; if the block exhausts,
-    members(u) is recomputed into it. With fixed_step, members is only called
-    as members(u, out=y): each trial u - (d * eta) is formed in one buffer
-    per step, which an accepted step keeps as u, so u is never moved.
+    members(u, out=None) returns the memberships of u, written into out when
+    given, a stack whose contents are no longer needed. Each trial
+    u - (d * eta) is formed in one buffer per step (the stack of d' once its
+    dot products are taken), which an accepted step keeps as u, so u is never
+    moved, and the trials write their memberships into the current
+    memberships' stack; if the block exhausts, members(u) is recomputed into
+    it. With in_place, for u as large as the memberships (the N softmax
+    logits), where that buffer would cost one stack more,
+    members(u, d, eta, out) instead returns the memberships of u - d * eta
+    without forming that array, and block_descent owns u, which an accepted
+    step moves in place, rounded as u - (d * eta).
 
     Each block's first trial step is cfg.step_size at the start and after the
     block exhausts; otherwise it is the Barzilai-Borwein ratio s.s / s.dg of
@@ -569,22 +633,27 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     it: eta ||d'||^2 / (||d'||^2 - d'.d) for u, with d' the direction u last
     moved along by eta, and db.db / db.dg for b, with db the clamped change in
     b and dg the change in the gradient in b. Where s.dg <= 0 or the ratio is
-    not finite, the block's last accepted step is reused.
+    not finite, the block's last accepted step is reused. The dots on u are
+    np.einsum's, which round alike under any BLAS thread count; with in_place
+    they, and those on b, are np.vdot's (BLAS ddot), whose rounding follows
+    the thread count.
 
     With fixed_step set (the level-set Euler step, whose direction is not an
     energy gradient), every first trial step is cfg.step_size. g is the
     energy's gradient in the memberships at the current state, c (and b)
-    frozen, built by energy's grad_out; the direction may overwrite it. The
-    start's evaluation builds it, and without b so does every trial of u:
-    into the stack of d' once its dot products are taken, or with fixed_step
-    into the stack the direction read. A bias step moves c and b after the
-    logit trials, so with b given they build none, and the logit block
-    builds g itself before the direction, as it does after it exhausted.
+    frozen, built by energy's grad_out; the direction may overwrite it, and
+    returns a new array, or with in_place g's stack itself. The start's
+    evaluation builds g, and without b so does every trial of u: into the
+    stack the direction read, or with in_place into the stack of d' once its
+    dot products are taken. A bias step moves c and b after the logit trials,
+    so with b given they build none, and the logit block builds g itself
+    before the direction.
 
-    tv_term(y), when given, returns the energy's TV term of memberships y in
-    place of cfg.lambda_tv sum_n TV(y_n), and g is then the data term's
-    gradient alone, the squared residual ||x - c_n||^2 that the evaluation
-    builds for its data term. It needs fixed_step and no b.
+    tv_term(y, g), when given, returns the energy's TV term of memberships y
+    in place of cfg.lambda_tv sum_n TV(y_n). It is handed g holding the data
+    term's gradient, the squared residual ||x - c_n||^2 that the evaluation
+    builds for its data term, and may add its own gradient into it. It needs
+    no b.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
 
@@ -595,9 +664,9 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
         if tv_term is None:
             return (u, y, c, b, g), energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g, tv_b)
         # a zero TV weight leaves the residual alone in g; tv_term adds the TV term
-        data = energy(x, y, c, 0.0, cfg.tv_eps, grad_out=g)[1]
-        tv_y = tv_term(y)
-        return (u, y, c, b, g), (data + tv_y, data, tv_y)
+        loss, data, _ = energy(x, y, c, 0.0, cfg.tv_eps, grad_out=g)
+        tv_y = tv_term(y, g)
+        return (u, y, c, b, g), (loss + tv_y, data, tv_y)
 
     # per block: its last accepted step, and what its BB ratio keeps of that
     # step (u's direction d'; b and its gradient before the step)
@@ -607,18 +676,21 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     # step and what the BB ratio keeps of it, or with None for all three when
     # its backtracking exhausts
     def member_block(u, y, c, b, g):
-        if g is None:  # a bias step or an exhausted block left none
-            g = np.empty_like(y)  # with tv_term, of the data term alone
-            energy(x, y, c, cfg.lambda_tv if tv_term is None else 0.0, cfg.tv_eps, b, grad_out=g)
+        if g is None:  # a bias step or an exhausted block left none (so there is no tv_term)
+            g = np.empty_like(y)
+            energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, grad_out=g)
         d = direction(u, y, c, b, g)
         step0, spare, prev[0] = steps[0], prev[0], None
         if spare is not None:
-            dd, dp = np.vdot(spare, spare), np.vdot(spare, d)
+            if in_place:
+                dd, dp = np.vdot(spare, spare), np.vdot(spare, d)
+            else:
+                s, t = spare.reshape(-1), d.reshape(-1)
+                dd, dp = np.einsum("i,i->", s, s), np.einsum("i,i->", s, t)
             step0 = _bb_step(step0 * dd, dd - dp, step0)
-        if fixed_step:
-            # the trials' g goes where the direction read it; each trial's u is
-            # formed in one buffer, which an accepted step keeps as u
-            trial = np.empty_like(u)
+        if not in_place:
+            # the trials' g goes where the direction read it
+            trial = np.empty_like(u) if spare is None else spare
 
             def evaluate_trial(eta):
                 v = np.subtract(u, np.multiply(d, eta, out=trial), out=trial)
@@ -638,7 +710,7 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
         cand, cand_terms, exhausted, eta = _descend(evaluate_trial, step0, terms[0])
         if exhausted:  # y holds a trial's memberships
             return (u, members(u, out=y), c, b, None), None, None, None
-        if not fixed_step:
+        if in_place:
             _step_in_place(u, d, eta)
         return cand, cand_terms, eta, d
 
@@ -678,17 +750,44 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     return state[:4], trace, stop
 
 
+def _logit_difference(z):
+    """u = z_1 - z_0 of a two-class logit stack: softmax(z) is
+    two_class_memberships(u)."""
+    return z[1] - z[0]
+
+
 def _softmax_descent(x, cfg, init, gamma=None):
     """block_descent over softmax logits from init_logits, plus a bias field
     started at b = 1 when gamma is given. Returns a Result whose labels are the
     argmax of the memberships; raises ConvergenceError carrying it when every
-    block stalls."""
+    block stalls.
 
+    Two classes without a bias field descend the one plane u = z_1 - z_0, whose
+    memberships softmax((0, u)) are two_class_memberships(u): the direction is
+    dE/du = y_0 y_1 (g_1 - g_0), the TV term two_class_tv's, and the steps
+    twice cfg.step_size, since a step of eta on (z_0, z_1) along their
+    gradient moves u by 2 eta along dE/du (the BB ratios are scale-free). So
+    the run follows the two-plane descent up to rounding. Its Result carries
+    the logits (0, u).
+    """
     # the initial arrays are passed inline so that no frame keeps them alive
-    (z, y, c, b), trace, stop = block_descent(
-        x, cfg, init_logits(x, cfg, init), softmax, lambda z, y, c, b, g: _chain_softmax(y, g),
-        None if gamma is None else np.ones(x.shape[:2]), gamma)
-    seg = SoftSegmentation(logits=z, memberships=y)
+    if gamma is None and cfg.num_classes == 2:
+        (u, y, c, b), trace, stop = block_descent(
+            x, replace(cfg, step_size=2.0 * cfg.step_size),
+            _logit_difference(init_logits(x, cfg, init)), two_class_memberships,
+            lambda u, y, c, b, g: _chain_two_class(y, g),
+            tv_term=lambda y, g: two_class_tv(y, cfg.lambda_tv, cfg.tv_eps, g))
+        z = np.empty((2,) + u.shape)
+        z[0], z[1] = 0.0, u
+        del u
+        # the seg's memberships are the softmax of its logits, as from_logits
+        # forms them, written over the descent's (the same bits)
+        seg = SoftSegmentation(logits=z, memberships=softmax(z, out=y))
+    else:
+        (z, y, c, b), trace, stop = block_descent(
+            x, cfg, init_logits(x, cfg, init), softmax, lambda z, y, c, b, g: _chain_softmax(y, g),
+            None if gamma is None else np.ones(x.shape[:2]), gamma, in_place=True)
+        seg = SoftSegmentation(logits=z, memberships=y)
     result = Result(hard_mask(seg), c, trace, stop, seg, b)
     if stop == "stalled":
         raise ConvergenceError("backtracking exhausted in every block", result)
@@ -702,6 +801,12 @@ def minimize_ms(x, cfg, init="random"):
     reached. Every accepted step is non-increasing in the full objective;
     exhausted backtracking raises ConvergenceError with the Result attached.
     Returns a Result with trace rows (loss, data_term, tv_term).
+
+    Two classes descend the one logit plane u = z_1 - z_0 (see
+    _softmax_descent): block_descent's tv_term hook takes the TV term as
+    two_class_tv's 2 lambda TV(y_1) and adds its gradient to the residual's,
+    so the trace ends on ms_loss of the result bit for bit, and each step
+    follows the two-plane descent up to rounding.
     """
     x = as_image(x)
     cfg.validate()

@@ -283,6 +283,18 @@ def test_segment_rejects_a_flag_its_solver_does_not_read(tmp_path, capsys, solve
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--eps", "2"), ("--max-it", "3")])
+def test_segment_takes_no_abbreviated_flag(tmp_path, capsys, flag, value):
+    # argparse would otherwise run --eps as --eps-h and --max-it as --max-iters
+    data = synth(tmp_path, size=64)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["segment", "--solver", "levelset", flag, value, data / "image.pgm", out])
+    assert exc.value.code == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_segment_rejects_a_flag_the_configs_solver_does_not_read(tmp_path, capsys):
     data = synth(tmp_path)
     out1 = tmp_path / "r1"
@@ -459,11 +471,10 @@ def test_thread_cap_reaches_blas():
     assert int(out) == 1
 
 
-def test_levelset_is_identical_under_one_and_two_blas_threads(tmp_path):
-    # BLAS sizes its thread pool when numpy is first imported, so each thread
-    # count runs in a fresh interpreter; the energy's data term must not take
-    # a BLAS dot product, whose sum is split across threads
-    data = synth(tmp_path, size=128)
+def _outputs_under_one_and_two_blas_threads(tmp_path, data, flags):
+    """Run `msvar segment FLAGS` under MSVAR_THREADS=1 and 2, each in a fresh
+    interpreter (BLAS sizes its thread pool when numpy is first imported);
+    returns the two exit codes and output directories."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     src = str(Path(msvar.__file__).resolve().parents[1])
@@ -471,11 +482,31 @@ def test_levelset_is_identical_under_one_and_two_blas_threads(tmp_path):
     codes = []
     for threads in ("1", "2"):
         env["MSVAR_THREADS"] = threads
-        argv = ["segment", "--solver", "levelset", "--phases", "1", "--lambda", "1e-2",
-                "--dt", "1", "--eps-h", "1", "--max-iters", "30",
-                str(data / "image.pgm"), str(tmp_path / threads)]
+        argv = ["segment", *flags, str(data / "image.pgm"), str(tmp_path / threads)]
         codes.append(subprocess.run([sys.executable, "-m", "msvar.cli", *argv], env=env,
                                     capture_output=True, timeout=120).returncode)
+    return codes, (tmp_path / "1", tmp_path / "2")
+
+
+def test_levelset_is_identical_under_one_and_two_blas_threads(tmp_path):
+    # the energy's data term must not take a BLAS dot product, whose sum is
+    # split across threads
+    data = synth(tmp_path, size=128)
+    codes, outs = _outputs_under_one_and_two_blas_threads(
+        tmp_path, data, ["--solver", "levelset", "--phases", "1", "--lambda", "1e-2", "--dt", "1",
+                         "--eps-h", "1", "--max-iters", "30"])
     assert codes[0] in (0, 3) and codes[0] == codes[1]
     for name in ("mask.pgm", "trace.csv", "run.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_two_class_ms_is_identical_under_one_and_two_blas_threads(tmp_path):
+    # nor may the Barzilai-Borwein ratios of the one-plane descent
+    data = synth(tmp_path, size=128, sigma=0.05, seed=1)
+    codes, outs = _outputs_under_one_and_two_blas_threads(
+        tmp_path, data, ["--solver", "ms", "--classes", "2", "--init", "kmeans",
+                         "--max-iters", "100"])
+    assert codes == [0, 0]
+    assert len((outs[0] / "trace.csv").read_text().splitlines()) > 3  # BB steps were taken
+    for name in ("mask.pgm", "trace.csv", "run.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -762,6 +762,10 @@ def test_minimize_ms_peak_memory_in_membership_stacks(quantised, biased):
     # into the stacks of the memberships and of the last direction (about 4.6
     # stacks traced with the image and the strip buffers; 6.6 when each trial
     # built its logits and new stacks, 7.5 before the kernels worked in place).
+    # Two classes without a bias field descend one logit plane: u, the
+    # direction and the last direction (which takes the trial u) are one
+    # plane each, beside the memberships and gradient stacks (about 3.9
+    # stacks traced on the PGM-quantised input).
     # On unquantised input k-means clusters every pixel value and its
     # temporaries set the peak at about 6.6 stacks. With a bias field,
     # weighted_means forms the products of y and b as whole stacks, which sets
@@ -969,6 +973,101 @@ def test_minimize_ms_trace_ends_on_the_loss_of_its_result(noise_seed, init):
     cfg = MsConfig(num_classes=2, max_iters=10)
     result = minimize_ms(image, cfg, init=init)
     assert tuple(result.trace[-1]) == ms_loss(image, result.seg, cfg)
+
+
+# ------------------------------------------------- two classes on one plane
+
+def _bits_of_softmax_of_zero_and(u):
+    return softmax(np.stack([np.zeros_like(u), u])).tobytes()
+
+
+def test_two_class_memberships_are_the_softmax_of_zero_and_u_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(24)
+    u = rng.normal(0.0, 30.0, (256, 256))
+    u.flat[:10] = [700.0, -700.0, 1e-17, -1e-17, 0.0, -0.0, 745.5, -745.5, 1e308, -1e308]
+    assert softseg.two_class_memberships(u).tobytes() == _bits_of_softmax_of_zero_and(u)
+    out = np.full((2,) + u.shape, np.nan)
+    assert softseg.two_class_memberships(u, out) is out
+    assert out.tobytes() == _bits_of_softmax_of_zero_and(u)
+    small = rng.uniform(-40.0, 40.0, (13, 8))
+    small.flat[:4] = [700.0, -1e-17, -0.0, -700.0]
+    for strip in (25, 5):  # strips that do not divide the plane, and shorter than a row
+        monkeypatch.setattr(softseg, "STRIP", strip)
+        assert softseg.two_class_memberships(small).tobytes() == _bits_of_softmax_of_zero_and(small)
+    for bad in (np.inf, -np.inf, np.nan):
+        u = np.zeros((13, 8))
+        u[12, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            softseg.two_class_memberships(u)
+        with pytest.raises(ValueError, match="non-finite"):
+            softmax(np.stack([np.zeros_like(u), u]))
+
+
+def _two_plane_descent(x, cfg, init):
+    """The N-plane softmax descent on two classes, as the reference: block_descent
+    over both logit planes with softmax memberships. It runs without in_place,
+    so that its Barzilai-Borwein dots are np.einsum's: the in-place path's
+    np.vdot rounds by the BLAS thread count, which alone moved its 1024^2
+    seed-1 trace by 2.7e-12 of the start loss between 1 and 2 OpenBLAS
+    threads. Each
+    trial's logits are rounded as the in-place step rounds them, and the
+    direction is formed in a copy of g, which the trials then take."""
+    (z, y, c, _), trace, stop = softseg.block_descent(
+        x, cfg, init_logits(x, cfg, init), softmax,
+        lambda z, y, c, b, g: softseg._chain_softmax(y, g.copy()))
+    return hard_mask(SoftSegmentation(z, y)), trace, stop
+
+
+# two-phase 1024^2 read from a PGM with the ms-2phase-1024 benchmark flags,
+# two-phase 256^2 with criterion 4's settings, and criterion 4's own 64^2 image
+WORKLOAD = MsConfig(num_classes=2, lambda_tv=1e-3, step_size=0.5, max_iters=10, seed=0)
+CRITERION_4 = MsConfig(num_classes=2, lambda_tv=1e-3, step_size=0.5, max_iters=500, seed=0)
+
+
+@pytest.mark.parametrize("size, noise_seed, cfg, quantised", [
+    (1024, 1, WORKLOAD, True), (1024, 2, WORKLOAD, True),
+    (256, 1, CRITERION_4, False), (64, 7, CRITERION_4, False),
+], ids=["1024-seed1", "1024-seed2", "256-seed1", "64-seed7"])
+def test_two_class_ms_follows_the_two_plane_descent(size, noise_seed, cfg, quantised):
+    # one plane u = z_1 - z_0, stepped by 2 eta, is the two-plane descent in
+    # exact arithmetic; rounding must not change the labels, the iteration
+    # count or the stop, nor move a trace row by more than 1e-12 of the start
+    # loss
+    image, _, _ = make_phantom("two-phase", size, 0.05, noise_seed)
+    if quantised:
+        image = np.round(np.clip(image, 0.0, 1.0) * 255) / 255
+    result = minimize_ms(image, cfg, init="kmeans")
+    labels, trace, stop = _two_plane_descent(image, cfg, "kmeans")
+    assert np.array_equal(result.labels, labels)
+    assert result.trace.shape == trace.shape and result.stop == stop
+    assert np.max(np.abs(result.trace - trace)) <= 1e-12 * abs(trace[0, 0])
+    assert result.seg.logits.shape == (2, size, size) and not result.seg.logits[0].any()
+    assert np.array_equal(result.seg.memberships, softmax(result.seg.logits))
+
+
+def test_two_class_ms_takes_one_tv_stencil_per_evaluation_and_moves_nothing_in_place(
+        monkeypatch):
+    # each evaluation takes its TV value and gradient from one stencil on y_1;
+    # each trial's u is formed once, and softmax forms only the result's
+    # memberships from its logits (0, u)
+    calls, trials = {}, []
+    for name in ("tv_smooth", "tv_smooth_grad", "softmax", "_chain_softmax", "_step_in_place"):
+        _counting(monkeypatch, softseg, name, calls)
+    real_descend = softseg._descend
+
+    def counting_descend(state_eval, step0, loss_now):
+        def counted(eta):
+            trials.append(eta)
+            return state_eval(eta)
+
+        return real_descend(counted, step0, loss_now)
+
+    monkeypatch.setattr(softseg, "_descend", counting_descend)
+    image, _, _ = make_phantom("two-phase", 24, 0.05, 0)
+    result = minimize_ms(image, MsConfig(num_classes=2, max_iters=4), init="kmeans")
+    assert len(result.trace) == 5 and len(trials) >= 4
+    assert calls == {"tv_smooth": 1 + len(trials), "softmax": 1}
+    assert trials[0] == 2 * MsConfig().step_size  # a step of eta on (z_0, z_1) moves u by 2 eta
 
 
 def test_energy_with_gradient_needs_the_tv_term():

@@ -86,7 +86,7 @@ def compare(name, seed, parent, work):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], allow_abbrev=False)
     parser.add_argument("parent", type=Path, help="root of the checkout to compare against")
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
