@@ -17,22 +17,26 @@ hands the direction of ms and ms-bias, and the one ms_loss_grad pulls back;
 the level set, whose velocity is not an energy gradient, is handed the
 residual of its data term alone.
 
-The kernels on the descent path work in place and one class (and channel) at
-a time: they allocate what they return and at most a few (H, W) planes, never
-an (N, H, W, C) residual, and leave their inputs unchanged (_chain_softmax
-alone overwrites the gradient it is given). softmax and _chain_softmax walk
-column strips of grid.STRIP pixels and allocate no plane at all. The fused
-loss-and-gradient pass, energy(..., grad_out=g), builds the residual in g and
-keeps every temporary strip-sized: the data term is one np.einsum dot of
-the residual and the memberships, with or without g, and the TV value and
-gradient are taken over strips of grid.STRIP elements. A logit trial
-never forms its logits: softmax(u, d, eta, out) takes them strip by strip,
-into a stack the descent reuses (see block_descent).
+The kernels on the descent path work in place, one class (and channel) at
+a time, over strips of grid.STRIP elements: they allocate what they return
+and strip-sized buffers, never an (N, H, W, C) residual, and leave their
+inputs unchanged (_chain_softmax alone overwrites the gradient it is given).
+The residual sums, softmax, both chain rules and the trial step
+u - (d * eta) (_step) give each element the operands of the whole-plane
+formula in its order, so the strip length does not show in their bits. The
+fused loss-and-gradient pass, energy(..., grad_out=g), builds the residual
+in g: the data term is one np.einsum dot of the residual and the
+memberships, with or without g, and the TV value and gradient are taken
+over strips too. A logit trial of N planes never forms its logits:
+softmax(u, d, eta, out) takes them strip by strip, into a stack the descent
+reuses (see block_descent).
 
 Two classes without a bias field descend one plane, u = z_1 - z_0:
 softmax((0, u)) is two_class_memberships(u), the two TV terms are
 two_class_tv's one stencil, and each trial's u is formed once, in a buffer
-that becomes u (see _softmax_descent).
+that becomes u. The result's labels are y_1 > y_0 of its memberships, and a
+k-means start is +-KMEANS_LOGIT_GAP straight from the labels (see
+_softmax_descent).
 """
 
 import bisect
@@ -149,20 +153,29 @@ def two_class_memberships(u, out=None):
 
 def _chain_two_class(y, g):
     """dE/du = y_0 y_1 (g_1 - g_0), the gradient g in memberships y =
-    two_class_memberships(u) pulled back to u, as a new (H, W) plane."""
-    d = np.subtract(g[1], g[0])
-    d *= y[0]
-    d *= y[1]
+    two_class_memberships(u) pulled back to u, as a new (H, W) plane formed
+    STRIP elements at a time."""
+    d = np.empty(g.shape[1:])
+    y2, g2, d1 = y.reshape(2, -1), g.reshape(2, -1), d.reshape(-1)
+    for i in range(0, d1.size, STRIP):
+        j = min(i + STRIP, d1.size)
+        ds = np.subtract(g2[1, i:j], g2[0, i:j], out=d1[i:j])
+        ds *= y2[0, i:j]
+        ds *= y2[1, i:j]
     return d
 
 
-def _step_in_place(u, d, eta):
-    """u -= d * eta, STRIP elements at a time, rounded as u - (d * eta)."""
-    u, d = u.reshape(-1), d.reshape(-1)
-    buf = np.empty(min(STRIP, u.size))
+def _step(u, d, eta, out):
+    """out = u - (d * eta), STRIP elements at a time, in a C-contiguous out of
+    u's shape. out may be u itself (the in-place step); d * eta then goes
+    through one strip buffer, otherwise through out's own strip."""
+    u, d, o = u.reshape(-1), d.reshape(-1), out.reshape(-1)
+    buf = np.empty(min(STRIP, u.size)) if np.may_share_memory(u, o) else None
     for i in range(0, u.size, STRIP):
         j = min(i + STRIP, u.size)
-        u[i:j] -= np.multiply(d[i:j], eta, out=buf[: j - i])
+        t = np.multiply(d[i:j], eta, out=o[i:j] if buf is None else buf[: j - i])
+        np.subtract(u[i:j], t, out=o[i:j])
+    return out
 
 
 @dataclass(frozen=True)
@@ -226,21 +239,27 @@ def soft_centroids(x, memberships):
 def _residual_sums(x, c, b=None, weights=None, out=None):
     """sum_ch w_n,ch (x_ch(r) - b(r) c_n,ch) per class, shape (N, H, W); with
     weights None the residual is squared instead (w = the residual itself).
-    b = None is b = 1. Built one (H, W) plane at a time, channel by channel,
-    in out when given."""
+    b = None is b = 1. Built STRIP pixels at a time, class by class and
+    channel by channel, in out (C-contiguous) when given; a channel after the
+    first goes through one strip buffer."""
+    num, chans = c.shape
     if out is None:
-        out = np.empty(c.shape[:1] + x.shape[:2])
-    plane = np.empty(x.shape[:2]) if c.shape[1] > 1 else None
-    for n in range(c.shape[0]):
-        for ch in range(c.shape[1]):
-            r = plane if ch else out[n]
-            if b is None:
-                np.subtract(x[:, :, ch], c[n, ch], out=r)
-            else:
-                np.subtract(x[:, :, ch], np.multiply(b, c[n, ch], out=r), out=r)
-            r *= r if weights is None else weights[n, ch]
-            if ch:
-                out[n] += r
+        out = np.empty((num,) + x.shape[:2])
+    xs, o = x.reshape(-1, chans), out.reshape(num, -1)
+    bs = None if b is None else b.reshape(-1)
+    buf = np.empty(min(STRIP, len(xs))) if chans > 1 else None
+    for i in range(0, len(xs), STRIP):
+        j = min(i + STRIP, len(xs))
+        for n in range(num):
+            for ch in range(chans):
+                r = buf[: j - i] if ch else o[n, i:j]
+                if bs is None:
+                    np.subtract(xs[i:j, ch], c[n, ch], out=r)
+                else:
+                    np.subtract(xs[i:j, ch], np.multiply(bs[i:j], c[n, ch], out=r), out=r)
+                r *= r if weights is None else weights[n, ch]
+                if ch:
+                    o[n, i:j] += r
     return out
 
 
@@ -617,15 +636,15 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
 
     members(u, out=None) returns the memberships of u, written into out when
     given, a stack whose contents are no longer needed. Each trial
-    u - (d * eta) is formed in one buffer per step (the stack of d' once its
-    dot products are taken), which an accepted step keeps as u, so u is never
-    moved, and the trials write their memberships into the current
-    memberships' stack; if the block exhausts, members(u) is recomputed into
-    it. With in_place, for u as large as the memberships (the N softmax
-    logits), where that buffer would cost one stack more,
+    u - (d * eta) is formed by _step, strip by strip, in one buffer per step
+    (the stack of d' once its dot products are taken), which an accepted step
+    keeps as u, so u is never moved, and the trials write their memberships
+    into the current memberships' stack; if the block exhausts, members(u) is
+    recomputed into it. With in_place, for u as large as the memberships (the
+    N softmax logits), where that buffer would cost one stack more,
     members(u, d, eta, out) instead returns the memberships of u - d * eta
     without forming that array, and block_descent owns u, which an accepted
-    step moves in place, rounded as u - (d * eta).
+    step moves in place by _step(u, d, eta, u), with the same rounding.
 
     Each block's first trial step is cfg.step_size at the start and after the
     block exhausts; otherwise it is the Barzilai-Borwein ratio s.s / s.dg of
@@ -693,7 +712,7 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
             trial = np.empty_like(u) if spare is None else spare
 
             def evaluate_trial(eta):
-                v = np.subtract(u, np.multiply(d, eta, out=trial), out=trial)
+                v = _step(u, d, eta, trial)
                 return evaluate(v, members(v, out=y), b, g=g)
         else:
             # with b, a trial leaves b and gamma TV(b) as they are; without, d' is
@@ -711,7 +730,7 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
         if exhausted:  # y holds a trial's memberships
             return (u, members(u, out=y), c, b, None), None, None, None
         if in_place:
-            _step_in_place(u, d, eta)
+            _step(u, d, eta, u)
         return cand, cand_terms, eta, d
 
     def bias_block(u, y, c, b, _):
@@ -756,6 +775,17 @@ def _logit_difference(z):
     return z[1] - z[0]
 
 
+def _two_class_start(x, cfg, init):
+    """_logit_difference(init_logits(x, cfg, init)) bit for bit. A k-means
+    start takes u = +-KMEANS_LOGIT_GAP (gap - 0 and 0 - gap) straight from
+    the labels, with no logit stack; any other init goes through init_logits,
+    so a random start draws the same stream."""
+    if init != "kmeans":
+        return _logit_difference(init_logits(x, cfg, init))
+    labels, _ = kmeans_labels(x, 2, cfg.seed)
+    return np.take(np.array([-KMEANS_LOGIT_GAP, KMEANS_LOGIT_GAP]), labels)
+
+
 def _softmax_descent(x, cfg, init, gamma=None):
     """block_descent over softmax logits from init_logits, plus a bias field
     started at b = 1 when gamma is given. Returns a Result whose labels are the
@@ -767,28 +797,33 @@ def _softmax_descent(x, cfg, init, gamma=None):
     dE/du = y_0 y_1 (g_1 - g_0), the TV term two_class_tv's, and the steps
     twice cfg.step_size, since a step of eta on (z_0, z_1) along their
     gradient moves u by 2 eta along dE/du (the BB ratios are scale-free). So
-    the run follows the two-plane descent up to rounding. Its Result carries
-    the logits (0, u).
+    the run follows the two-plane descent up to rounding. It starts from
+    _two_class_start. Its Result carries the logits (0, u), their softmax,
+    written over the descent's final memberships (the same bits), and the
+    labels y_1 > y_0, hard_mask's first maximum over two planes.
     """
     # the initial arrays are passed inline so that no frame keeps them alive
     if gamma is None and cfg.num_classes == 2:
         (u, y, c, b), trace, stop = block_descent(
-            x, replace(cfg, step_size=2.0 * cfg.step_size),
-            _logit_difference(init_logits(x, cfg, init)), two_class_memberships,
-            lambda u, y, c, b, g: _chain_two_class(y, g),
+            x, replace(cfg, step_size=2.0 * cfg.step_size), _two_class_start(x, cfg, init),
+            two_class_memberships, lambda u, y, c, b, g: _chain_two_class(y, g),
             tv_term=lambda y, g: two_class_tv(y, cfg.lambda_tv, cfg.tv_eps, g))
         z = np.empty((2,) + u.shape)
         z[0], z[1] = 0.0, u
         del u
-        # the seg's memberships are the softmax of its logits, as from_logits
-        # forms them, written over the descent's (the same bits)
+        # the seg's memberships are the softmax of its logits, written over the
+        # descent's final y, which holds the same bits (perfbench's tracer test
+        # expects this call); y_1 > y_0 is hard_mask's first maximum over two
+        # planes (a tie goes to class 0)
         seg = SoftSegmentation(logits=z, memberships=softmax(z, out=y))
+        labels = np.greater(y[1], y[0]).astype(np.intp)
     else:
         (z, y, c, b), trace, stop = block_descent(
             x, cfg, init_logits(x, cfg, init), softmax, lambda z, y, c, b, g: _chain_softmax(y, g),
             None if gamma is None else np.ones(x.shape[:2]), gamma, in_place=True)
         seg = SoftSegmentation(logits=z, memberships=y)
-    result = Result(hard_mask(seg), c, trace, stop, seg, b)
+        labels = hard_mask(seg)
+    result = Result(labels, c, trace, stop, seg, b)
     if stop == "stalled":
         raise ConvergenceError("backtracking exhausted in every block", result)
     return result

@@ -424,15 +424,22 @@ def test_each_evaluation_builds_the_residual_once_and_moves_no_step_in_place(mon
                                                                            phases):
     # the velocity reads the residual its accepted evaluation built, and each
     # trial's level functions are formed once, in the buffer that becomes u
-    calls = {}
-    for name in ("_residual_sums", "weighted_means", "_step_in_place"):
+    calls, in_place = {}, []
+    for name in ("_residual_sums", "weighted_means"):
         count_calls(monkeypatch, calls, softseg, name)
+    real_step = softseg._step
+
+    def step(u, d, eta, out):
+        in_place.append(out is u)
+        return real_step(u, d, eta, out)
+
+    monkeypatch.setattr(softseg, "_step", step)
     image, _, _ = make_phantom("four-phase", 32, 0.05, 2)
     result, _ = run_segment(image, phases=phases, lambda_tv=1e-2, dt=8.0, eps_h=2.0,
                             max_iters=20)
     assert calls["weighted_means"] >= len(result.trace)
     assert calls["_residual_sums"] == calls["weighted_means"]
-    assert calls["_step_in_place"] == 0
+    assert len(in_place) == calls["weighted_means"] - 1 and not any(in_place)  # one per trial
     if phases == 2:
         assert calls["weighted_means"] > len(result.trace)  # a trial was rejected
 

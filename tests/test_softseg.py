@@ -152,7 +152,7 @@ def test_strip_kernels_equal_the_whole_stack_formulas(monkeypatch, strip, shape,
     want = _chain_softmax_whole(y, g)
     assert softseg._chain_softmax(y, g) is g and np.array_equal(g, want)
     moved = u.copy()
-    softseg._step_in_place(moved, d, eta)
+    assert softseg._step(moved, d, eta, moved) is moved  # the in-place step
     assert np.array_equal(moved, trial)
 
 
@@ -934,6 +934,19 @@ def _counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
+def _counting_steps(monkeypatch, calls):
+    """Count softseg._step calls in calls["_step"], and those that move u in
+    place (out is u) in calls["_step in place"]."""
+    real = softseg._step
+
+    def counted(u, d, eta, out):
+        key = "_step in place" if out is u else "_step"
+        calls[key] = calls.get(key, 0) + 1
+        return real(u, d, eta, out)
+
+    monkeypatch.setattr(softseg, "_step", counted)
+
+
 # Strip lengths in elements: the default, 3 rows of a width-8 field (13 rows do
 # not divide), and fewer elements than a row (one row per strip).
 @pytest.mark.parametrize("strip", [grid.STRIP, 25, 5])
@@ -1048,11 +1061,12 @@ def test_two_class_ms_follows_the_two_plane_descent(size, noise_seed, cfg, quant
 def test_two_class_ms_takes_one_tv_stencil_per_evaluation_and_moves_nothing_in_place(
         monkeypatch):
     # each evaluation takes its TV value and gradient from one stencil on y_1;
-    # each trial's u is formed once, and softmax forms only the result's
-    # memberships from its logits (0, u)
+    # each trial's u is formed once, in a buffer that is not u, and softmax
+    # forms only the result's memberships from its logits (0, u)
     calls, trials = {}, []
-    for name in ("tv_smooth", "tv_smooth_grad", "softmax", "_chain_softmax", "_step_in_place"):
+    for name in ("tv_smooth", "tv_smooth_grad", "softmax", "_chain_softmax"):
         _counting(monkeypatch, softseg, name, calls)
+    _counting_steps(monkeypatch, calls)
     real_descend = softseg._descend
 
     def counting_descend(state_eval, step0, loss_now):
@@ -1066,8 +1080,105 @@ def test_two_class_ms_takes_one_tv_stencil_per_evaluation_and_moves_nothing_in_p
     image, _, _ = make_phantom("two-phase", 24, 0.05, 0)
     result = minimize_ms(image, MsConfig(num_classes=2, max_iters=4), init="kmeans")
     assert len(result.trace) == 5 and len(trials) >= 4
-    assert calls == {"tv_smooth": 1 + len(trials), "softmax": 1}
+    assert calls == {"tv_smooth": 1 + len(trials), "softmax": 1, "_step": len(trials)}
     assert trials[0] == 2 * MsConfig().step_size  # a step of eta on (z_0, z_1) moves u by 2 eta
+
+
+def _residual_sums_whole(x, c, b=None, weights=None):
+    """The plane-wise residual sums the strip kernel must reproduce: one
+    (H, W) plane per class and channel, in the kernel's operand order."""
+    out = np.empty(c.shape[:1] + x.shape[:2])
+    for n in range(c.shape[0]):
+        for ch in range(c.shape[1]):
+            r = x[:, :, ch] - (c[n, ch] if b is None else b * c[n, ch])
+            r = r * (r if weights is None else weights[n, ch])
+            out[n] = r if ch == 0 else out[n] + r
+    return out
+
+
+# Strip lengths in elements: 7 and 64, which divide none of the plane sizes
+# 143, 9 and 16637, and the default, which 16637 exceeds without dividing it.
+@pytest.mark.parametrize("strip", [7, 64, softseg.STRIP])
+@pytest.mark.parametrize("shape", [(13, 11), (1, 9), (131, 127)], ids=["13x11", "1x9", "131x127"])
+def test_strip_mined_passes_equal_the_whole_plane_formulas(monkeypatch, strip, shape):
+    monkeypatch.setattr(softseg, "STRIP", strip)
+    rng = np.random.default_rng(27)
+    for channels in (1, 3):
+        x = rng.random(shape + (channels,))
+        c = rng.uniform(-0.5, 1.5, (3, channels))
+        b = rng.uniform(0.5, 1.5, shape)
+        w = rng.uniform(-2.0, 2.0, (3, channels))
+        for bias in (None, b):
+            for weights in (None, w):
+                want = _residual_sums_whole(x, c, bias, weights)
+                got = softseg._residual_sums(x, c, bias, weights)
+                assert got.tobytes() == want.tobytes()
+                out = np.full_like(want, np.nan)
+                assert softseg._residual_sums(x, c, bias, weights, out) is out
+                assert out.tobytes() == want.tobytes()
+    y = softseg.two_class_memberships(rng.uniform(-30.0, 30.0, shape))
+    g = rng.uniform(-3.0, 3.0, (2,) + shape)
+    before = g.copy()
+    assert softseg._chain_two_class(y, g).tobytes() == ((g[1] - g[0]) * y[0] * y[1]).tobytes()
+    assert np.array_equal(g, before)
+    u, d, eta = rng.uniform(-40.0, 40.0, shape), rng.uniform(-9.0, 9.0, shape), 0.3711
+    want = u - d * eta
+    trial = np.full_like(u, np.nan)
+    assert softseg._step(u, d, eta, trial) is trial and trial.tobytes() == want.tobytes()
+    assert softseg._step(u, d, eta, u) is u and u.tobytes() == want.tobytes()  # in place
+
+
+def test_two_class_ms_labels_are_the_first_maximum_of_its_memberships(monkeypatch):
+    # the labels are y_1 > y_0 of the result's memberships, which one softmax
+    # call writes over the descent's final y; u = 0 and +-1e-17 give two equal
+    # memberships (exp(-1e-17) rounds to 1), and such a tie goes to class 0
+    ties = [0.0, -0.0, 1e-17, -1e-17]
+    real_descent = softseg.block_descent
+
+    def tied_descent(*args, **kwargs):
+        (u, y, c, b), trace, stop = real_descent(*args, **kwargs)
+        u.flat[:4] = ties
+        softseg.two_class_memberships(u, out=y)
+        return (u, y, c, b), trace, stop
+
+    monkeypatch.setattr(softseg, "block_descent", tied_descent)
+    calls = {}
+    _counting(monkeypatch, softseg, "softmax", calls)
+    image, _, _ = make_phantom("two-phase", 48, 0.05, 3)
+    result = minimize_ms(image, MsConfig(num_classes=2, max_iters=5), init="kmeans")
+    assert calls == {"softmax": 1}
+    y = result.seg.memberships
+    assert np.array_equal(y[0].flat[:4], y[1].flat[:4]) and not result.labels.flat[:4].any()
+    assert result.labels.dtype == hard_mask(result.seg).dtype
+    assert np.array_equal(result.labels, hard_mask(result.seg))
+    assert result.labels.any() and not result.labels.all()
+    assert np.array_equal(y, softmax(result.seg.logits))
+
+
+@pytest.mark.parametrize("kind, size, channels", [
+    ("two-phase", 64, 1), ("four-phase", 40, 1), ("four-phase", 24, 3),
+], ids=["two-phase", "four-phase", "rgb"])
+def test_two_class_kmeans_start_is_the_difference_of_the_kmeans_logits(monkeypatch, kind, size,
+                                                                        channels):
+    image, _, _ = make_phantom(kind, size, 0.05, 5)
+    if channels > 1:
+        image = np.concatenate([image, 1.0 - image, image * image], axis=-1)
+    cfg = MsConfig(num_classes=2, max_iters=2, seed=3)
+    x = softseg.as_image(image)
+    want = softseg._logit_difference(init_logits(x, cfg, "kmeans"))
+    assert set(np.unique(want)) == {-4.0, 4.0}
+    assert softseg._two_class_start(x, cfg, "kmeans").tobytes() == want.tobytes()
+    random = softseg._logit_difference(init_logits(x, cfg, "random"))
+    assert softseg._two_class_start(x, cfg, "random").tobytes() == random.tobytes()
+    starts, real_descent = [], softseg.block_descent
+
+    def recording_descent(x, cfg, u, *args, **kwargs):
+        starts.append(u.copy())
+        return real_descent(x, cfg, u, *args, **kwargs)
+
+    monkeypatch.setattr(softseg, "block_descent", recording_descent)
+    minimize_ms(image, cfg, init="kmeans")
+    assert len(starts) == 1 and starts[0].tobytes() == want.tobytes()
 
 
 def test_energy_with_gradient_needs_the_tv_term():
