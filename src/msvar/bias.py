@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .errors import check_number
 from .grid import as_image
 from .softseg import _softmax_descent, energy, grad_b, weighted_means
 
@@ -71,8 +72,7 @@ def minimize_ms_bias(x, cfg, gamma, init="random"):
     """
     x = as_image(x)
     cfg.validate()
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    check_number("gamma", gamma, positive=False)
     result = _softmax_descent(x, cfg, init, gamma)
     scale = float(result.bias.mean())
     return replace(result, bias=result.bias / scale, centroids=result.centroids * scale)

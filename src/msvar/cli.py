@@ -22,7 +22,7 @@ from . import _thread_cap, pnm
 from .bias import minimize_ms_bias
 from .errors import ConvergenceError
 from .levelset import segment_levelset
-from .metrics import clustering_metrics, overlap_metrics
+from .metrics import ConfusionCounts
 from .phantoms import PHANTOM_KINDS, make_phantom
 from .softseg import MsConfig, minimize_ms
 
@@ -192,9 +192,10 @@ def cmd_segment(args):
 def cmd_eval(args):
     pred = pnm.load_labelmap(args.pred)
     gt = pnm.load_labelmap(args.gt)
-    rc, pri, vi = clustering_metrics(pred, gt)
+    counts = ConfusionCounts.from_maps(pred, gt)  # one table for both metric families
+    rc, pri, vi = counts.clustering()
     if args.positive_class is not None:
-        overlap = [repr(v) for v in overlap_metrics(pred, gt, args.positive_class)]
+        overlap = [repr(v) for v in counts.overlap(args.positive_class)]
     else:
         overlap = ["", "", "", ""]
     print("iou,dice,precision,recall,rc,pri,vi")

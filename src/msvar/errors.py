@@ -1,4 +1,13 @@
-"""Exception types shared across the solvers."""
+"""Exception types and the parameter check shared across the solvers."""
+
+import math
+
+
+def check_number(name, value, positive):
+    """Raise ValueError naming the parameter unless value is a finite number
+    > 0 (positive) or >= 0; NaN and infinity are rejected."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
 
 
 class ConvergenceError(RuntimeError):

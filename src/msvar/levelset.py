@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_number
 from .grid import as_image, strip_rows, tv_smooth
 from .softseg import (MsConfig, Result, block_descent, energy, sq_residual, two_class_tv,
                       weighted_means)
@@ -53,16 +53,14 @@ def _delta(phi, eps_h, out, sign=1.0):
 
 def heaviside_eps(phi, eps_h):
     """Smoothed Heaviside H_eps(phi) = 0.5 (1 + (2/pi) atan(phi/eps_h))."""
-    if eps_h <= 0:
-        raise ValueError(f"eps_h must be > 0, got {eps_h}")
+    check_number("eps_h", eps_h, positive=True)
     phi = np.asarray(phi, dtype=np.float64)
     return _heaviside(phi, eps_h, np.empty(phi.shape))[()]  # [()]: a scalar for a scalar
 
 
 def delta_eps(phi, eps_h):
     """Smoothed Dirac delta, the exact derivative of heaviside_eps."""
-    if eps_h <= 0:
-        raise ValueError(f"eps_h must be > 0, got {eps_h}")
+    check_number("eps_h", eps_h, positive=True)
     phi = np.asarray(phi, dtype=np.float64)
     return _delta(phi, eps_h, np.empty(phi.shape))[()]
 
@@ -84,10 +82,13 @@ class LevelSetState:
         self.phi = np.asarray(self.phi, dtype=np.float64)
         if self.phi.ndim != 3 or self.phi.shape[0] not in (1, 2):
             raise ValueError(f"phi must be (p, H, W) with p in {{1, 2}}, got {self.phi.shape}")
-        if self.eps_h <= 0 or self.dt <= 0:
-            raise ValueError("eps_h and dt must be positive")
-        if self.lambda_tv < 0:
-            raise ValueError(f"lambda_tv must be >= 0, got {self.lambda_tv}")
+        _check_evolution(self.eps_h, self.dt, self.lambda_tv)
+
+
+def _check_evolution(eps_h, dt, lambda_tv):
+    check_number("eps_h", eps_h, positive=True)
+    check_number("dt", dt, positive=True)
+    check_number("lambda_tv", lambda_tv, positive=False)
 
 
 def memberships(state, out=None):
@@ -337,6 +338,7 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
     x = as_image(x)
     if phases not in (1, 2):
         raise ValueError(f"phases must be 1 or 2, got {phases}")
+    _check_evolution(eps_h, dt, lambda_tv)  # before cfg, which names dt step_size
     cfg = MsConfig(num_classes=2 ** phases, lambda_tv=lambda_tv, step_size=dt,
                    max_iters=max_iters, rel_tol=rel_tol, tv_eps=tv_eps, seed=seed)
     cfg.validate()

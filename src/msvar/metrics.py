@@ -11,12 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import STRIP
+
 
 def _check_pair(pred, gt):
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape or pred.ndim != 2:
         raise ValueError(f"label maps must share an (H, W) shape, got {pred.shape} vs {gt.shape}")
+    if pred.size == 0:
+        raise ValueError(f"label maps must not be empty, got shape {pred.shape}")
     return pred, gt
 
 
@@ -30,11 +34,21 @@ class ConfusionCounts:
 
     @classmethod
     def from_maps(cls, pred, gt):
+        """Count the table in one pass over row strips of max(STRIP, cells)
+        pixels, cells = len(pred_labels) * len(gt_labels): per strip each
+        pixel's two label indices are found by np.searchsorted in the sorted
+        labels and one np.bincount of pi * G + gi adds into the table. Beyond
+        np.unique's sorted copy of each map, nothing image-sized is formed."""
         pred, gt = _check_pair(pred, gt)
-        pred_labels, pi = np.unique(pred, return_inverse=True)
-        gt_labels, gi = np.unique(gt, return_inverse=True)
-        flat = pi.reshape(-1) * len(gt_labels) + gi.reshape(-1)
-        table = np.bincount(flat, minlength=len(pred_labels) * len(gt_labels))
+        pred_labels, gt_labels = np.unique(pred), np.unique(gt)
+        cells = len(pred_labels) * len(gt_labels)
+        table = np.zeros(cells, dtype=np.intp)
+        rows = max(1, max(STRIP, cells) // pred.shape[1])
+        for r in range(0, pred.shape[0], rows):
+            key = np.searchsorted(pred_labels, pred[r : r + rows].ravel())
+            key *= len(gt_labels)
+            key += np.searchsorted(gt_labels, gt[r : r + rows].ravel())
+            table += np.bincount(key, minlength=cells)
         return cls(
             table=table.reshape(len(pred_labels), len(gt_labels)),
             pred_labels=pred_labels,
@@ -55,6 +69,48 @@ class ConfusionCounts:
         tn = self.total - tp - fp - fn
         return tp, fp, fn, tn
 
+    def overlap(self, positive_class):
+        """overlap_metrics of the two maps, from this table."""
+        tp, fp, fn, _ = self.binary_counts(positive_class)
+        both_empty = (tp + fp == 0) and (tp + fn == 0)
+        iou = _ratio(tp, tp + fp + fn, both_empty)
+        dice = _ratio(2 * tp, 2 * tp + fp + fn, both_empty)
+        precision = _ratio(tp, tp + fp, both_empty)
+        recall = _ratio(tp, tp + fn, both_empty)
+        return iou, dice, precision, recall
+
+    def clustering(self):
+        """clustering_metrics of the two maps, from this table."""
+        table = self.table
+        n = self.total
+
+        gt_sizes = table.sum(axis=0)      # per ground-truth region
+        pred_sizes = table.sum(axis=1)
+        union = gt_sizes[None, :] + pred_sizes[:, None] - table
+        jac = np.where(union > 0, table / np.maximum(union, 1), 0.0)
+        rc = float(np.sum(gt_sizes * jac.max(axis=0)) / n)
+
+        # pair counting with exact integer arithmetic
+        def pairs(k):
+            return int(k) * (int(k) - 1) // 2
+
+        together_both = sum(pairs(v) for v in table.reshape(-1))
+        together_pred = sum(pairs(v) for v in pred_sizes)
+        together_gt = sum(pairs(v) for v in gt_sizes)
+        total_pairs = pairs(n)
+        agreements = total_pairs + 2 * together_both - together_pred - together_gt
+        pri = agreements / total_pairs if total_pairs > 0 else 1.0
+
+        p_joint = table / n
+        p_pred = pred_sizes / n
+        p_gt = gt_sizes / n
+        h_pred = -float(np.sum(p_pred[p_pred > 0] * np.log(p_pred[p_pred > 0])))
+        h_gt = -float(np.sum(p_gt[p_gt > 0] * np.log(p_gt[p_gt > 0])))
+        nz = p_joint > 0
+        mi = float(np.sum(p_joint[nz] * np.log(p_joint[nz] / np.outer(p_pred, p_gt)[nz])))
+        vi = max(h_pred + h_gt - 2.0 * mi, 0.0)
+        return rc, pri, vi
+
 
 def _ratio(num, den, both_empty):
     if den == 0:
@@ -68,14 +124,7 @@ def overlap_metrics(pred, gt, positive_class):
     Empty-denominator cases follow the convention: 1 if both masks are empty,
     0 otherwise.
     """
-    counts = ConfusionCounts.from_maps(pred, gt)
-    tp, fp, fn, _ = counts.binary_counts(positive_class)
-    both_empty = (tp + fp == 0) and (tp + fn == 0)
-    iou = _ratio(tp, tp + fp + fn, both_empty)
-    dice = _ratio(2 * tp, 2 * tp + fp + fn, both_empty)
-    precision = _ratio(tp, tp + fp, both_empty)
-    recall = _ratio(tp, tp + fn, both_empty)
-    return iou, dice, precision, recall
+    return ConfusionCounts.from_maps(pred, gt).overlap(positive_class)
 
 
 def clustering_metrics(pred, gt):
@@ -86,33 +135,4 @@ def clustering_metrics(pred, gt):
     the two partitions agree (same/different), in closed form from the
     contingency table. vi: H(pred) + H(gt) - 2 I(pred, gt), natural log.
     """
-    counts = ConfusionCounts.from_maps(pred, gt)
-    table = counts.table
-    n = counts.total
-
-    gt_sizes = table.sum(axis=0)      # per ground-truth region
-    pred_sizes = table.sum(axis=1)
-    union = gt_sizes[None, :] + pred_sizes[:, None] - table
-    jac = np.where(union > 0, table / np.maximum(union, 1), 0.0)
-    rc = float(np.sum(gt_sizes * jac.max(axis=0)) / n)
-
-    # pair counting with exact integer arithmetic
-    def pairs(k):
-        return int(k) * (int(k) - 1) // 2
-
-    together_both = sum(pairs(v) for v in table.reshape(-1))
-    together_pred = sum(pairs(v) for v in pred_sizes)
-    together_gt = sum(pairs(v) for v in gt_sizes)
-    total_pairs = pairs(n)
-    agreements = total_pairs + 2 * together_both - together_pred - together_gt
-    pri = agreements / total_pairs if total_pairs > 0 else 1.0
-
-    p_joint = table / n
-    p_pred = pred_sizes / n
-    p_gt = gt_sizes / n
-    h_pred = -float(np.sum(p_pred[p_pred > 0] * np.log(p_pred[p_pred > 0])))
-    h_gt = -float(np.sum(p_gt[p_gt > 0] * np.log(p_gt[p_gt > 0])))
-    nz = p_joint > 0
-    mi = float(np.sum(p_joint[nz] * np.log(p_joint[nz] / np.outer(p_pred, p_gt)[nz])))
-    vi = max(h_pred + h_gt - 2.0 * mi, 0.0)
-    return rc, pri, vi
+    return ConfusionCounts.from_maps(pred, gt).clustering()

@@ -13,6 +13,8 @@ Gaussian noise with the given sigma is added, and values are clamped to
 
 import numpy as np
 
+from .errors import check_number
+
 PHANTOM_KINDS = ("two-phase", "four-phase", "ramp-bias")
 
 
@@ -27,8 +29,7 @@ def make_phantom(kind, size, noise_sigma=0.0, seed=0):
         raise ValueError(f"unknown phantom kind {kind!r}, expected one of {PHANTOM_KINDS}")
     if size < 16:
         raise ValueError(f"phantom size must be >= 16, got {size}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise sigma must be >= 0, got {noise_sigma}")
+    check_number("noise_sigma", noise_sigma, positive=False)
 
     ii, jj = np.mgrid[0:size, 0:size].astype(np.float64)
     bias = None

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_number
 from .grid import EPS_DEN, STRIP, as_image, tv_smooth, tv_smooth_grad
 
 # b is clamped into this range after every update to rule out the degenerate
@@ -67,16 +67,12 @@ class MsConfig:
     def validate(self):
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.lambda_tv < 0:
-            raise ValueError(f"lambda_tv must be >= 0, got {self.lambda_tv}")
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.tv_eps <= 0:
-            raise ValueError(f"tv_eps must be > 0, got {self.tv_eps}")
+        check_number("lambda_tv", self.lambda_tv, positive=False)
+        check_number("step_size", self.step_size, positive=True)
+        check_number("rel_tol", self.rel_tol, positive=True)
+        check_number("tv_eps", self.tv_eps, positive=True)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by the isfinite check

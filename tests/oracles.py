@@ -6,7 +6,9 @@ are levelset_descent_loop, which pins the level-set solver's iteration to the
 public one-step functions it is built from, and curvature_central_planes, the
 whole-plane numpy formula that the strip-mined curvature kernel must
 reproduce bit for bit, with its denominator as mag2 * sqrt(mag2);
-curvature_central_loop keeps (fx^2 + fy^2) ** 1.5. tv_smooth_loop sums its
+curvature_central_loop keeps (fx^2 + fy^2) ** 1.5, and confusion_table_unique,
+the whole-map formula (np.unique with return_inverse, then one np.bincount)
+that the strip-counted contingency table must equal. tv_smooth_loop sums its
 pixels with math.fsum, correctly rounded, so that on a large field it does not
 drift from the kernel's pairwise sum.
 """
@@ -269,6 +271,16 @@ def overlap_loop(pred, gt, positive):
         ratio(tp, tp + fp),
         ratio(tp, tp + fn),
     )
+
+
+def confusion_table_unique(pred, gt):
+    """(table, pred_labels, gt_labels) of two label maps, counted over the
+    whole maps at once."""
+    pred_labels, pi = np.unique(pred, return_inverse=True)
+    gt_labels, gi = np.unique(gt, return_inverse=True)
+    flat = pi.reshape(-1) * len(gt_labels) + gi.reshape(-1)
+    table = np.bincount(flat, minlength=len(pred_labels) * len(gt_labels))
+    return table.reshape(len(pred_labels), len(gt_labels)), pred_labels, gt_labels
 
 
 def clustering_loop(pred, gt):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,13 @@ def test_synth_ramp_bias_adds_true_field(tmp_path):
 
 def test_synth_validation_error_exits_2(tmp_path):
     assert run(["synth", "two-phase", 8, 0.0, 0, tmp_path / "x"]) == 2
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_synth_rejects_a_non_finite_sigma(tmp_path, capsys, sigma):
+    assert run(["synth", "two-phase", 16, sigma, 1, tmp_path / "out"]) == 2
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exits_1(capsys):
@@ -177,6 +185,23 @@ def test_segment_rejects_invalid_solver_settings(tmp_path, solver, flag, value):
     out = tmp_path / "run"
     assert run(["segment", "--solver", solver, flag, value, tmp_path / "image.pgm", out]) == 2
     assert not (out / "mask.pgm").exists()
+
+
+# each flag with the parameter name the solver's error gives
+@pytest.mark.parametrize("solver, flag, name", [
+    ("ms", "--lambda", "lambda_tv"), ("ms", "--eta", "step_size"), ("ms", "--rel-tol", "rel_tol"),
+    ("ms", "--tv-eps", "tv_eps"), ("ms-bias", "--gamma", "gamma"), ("levelset", "--dt", "dt"),
+    ("levelset", "--eps-h", "eps_h"), ("levelset", "--lambda", "lambda_tv"),
+    ("levelset", "--rel-tol", "rel_tol"), ("levelset", "--tv-eps", "tv_eps"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_segment_rejects_non_finite_settings(tmp_path, capsys, solver, flag, name, value):
+    pnm.save_image(tmp_path / "image.pgm", np.linspace(0.0, 1.0, 64).reshape(8, 8, 1))
+    out = tmp_path / "run"
+    argv = ["segment", "--solver", solver, "--max-iters", 20, flag, value, tmp_path / "image.pgm"]
+    assert run(argv + [out]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_segment_levelset_uses_tv_eps(tmp_path):
@@ -423,6 +448,32 @@ def test_eval_dimension_mismatch_exits_2(tmp_path):
     a = synth(tmp_path, size=48, name="a")
     b = synth(tmp_path, size=32, name="b")
     assert run(["eval", a / "gt.pgm", b / "gt.pgm"]) == 2
+
+
+def test_eval_holds_under_four_label_planes(tmp_path, capsys):
+    # the two loaded maps and np.unique's sorted copy of one are the only
+    # int64 planes: the table is counted in strips, with no image-sized index
+    size = 512
+    ii, jj = np.mgrid[0:size, 0:size]
+    gt = ((ii - size / 2) ** 2 + (jj - size / 2) ** 2 <= (size / 4) ** 2).astype(np.int64)
+    pred = np.roll(gt, 3, axis=1)
+    pnm.save_labelmap(tmp_path / "pred.pgm", pred)
+    pnm.save_labelmap(tmp_path / "gt.pgm", gt)
+    plane = size * size * np.dtype(np.int64).itemsize
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        code = run(["eval", tmp_path / "pred.pgm", tmp_path / "gt.pgm", "--positive-class", 1])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "iou,dice,precision,recall,rc,pri,vi"
+    assert peak < 4 * plane, f"traced peak {peak / plane:.2f} planes"
 
 
 def test_eval_pipeline_two_phase(tmp_path, capsys):

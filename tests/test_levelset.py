@@ -70,10 +70,10 @@ def test_delta_is_derivative_of_heaviside():
 
 
 def test_nonpositive_eps_rejected():
-    with pytest.raises(ValueError):
-        heaviside_eps(np.zeros(3), 0.0)
-    with pytest.raises(ValueError):
-        delta_eps(np.zeros(3), -1.0)
+    for eps in (0.0, -1.0, float("nan"), float("inf")):
+        for fn in (heaviside_eps, delta_eps):
+            with pytest.raises(ValueError, match="eps_h must be finite"):
+                fn(np.zeros(3), eps)
 
 
 # -------------------------------------------------------- region means

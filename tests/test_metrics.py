@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from msvar import grid, metrics
 from msvar.metrics import ConfusionCounts, clustering_metrics, overlap_metrics
 
-from oracles import clustering_loop, overlap_loop
+from oracles import clustering_loop, confusion_table_unique, overlap_loop
 
 
 def test_identical_masks_score_one():
@@ -46,6 +47,15 @@ def test_dimension_mismatch_rejected():
         overlap_metrics(np.zeros((4, 4), dtype=int), np.zeros((4, 5), dtype=int), 1)
     with pytest.raises(ValueError):
         clustering_metrics(np.zeros((4, 4), dtype=int), np.zeros((5, 4), dtype=int))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("family", ["overlap", "clustering", "counts"])
+def test_empty_maps_rejected(shape, family):
+    call = {"overlap": lambda a, b: overlap_metrics(a, b, 1), "clustering": clustering_metrics,
+            "counts": ConfusionCounts.from_maps}[family]
+    with pytest.raises(ValueError, match=rf"empty, got shape \({shape[0]}, {shape[1]}\)"):
+        call(np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
 
 
 def test_clustering_identity():
@@ -125,3 +135,44 @@ def test_confusion_counts_totals():
     assert counts.table.sum() == 6
     tp, fp, fn, tn = counts.binary_counts(1)
     assert (tp, fp, fn, tn) == (2, 0, 1, 3)
+
+
+def _label_pairs(shape, rng):
+    """Named (pred, gt) pairs of one shape: small ints, strided views of
+    larger arrays, negative and gapped labels, floats with a signed zero, and
+    enough labels that the table outgrows a strip."""
+    h, w = shape
+    gapped = np.array([-7, -1, 3, 40])
+    floats = np.array([-0.5, -0.0, 0.0, 0.25, 1e9])
+    return {
+        "ints": (rng.integers(0, 3, shape), rng.integers(0, 4, shape)),
+        "strided": (rng.integers(0, 3, (2 * h, 3 * w))[::2, ::3], rng.integers(0, 2, (w, h)).T),
+        "negative-gapped": (gapped[rng.integers(0, 4, shape)], rng.integers(-3, 0, shape)),
+        "float": (floats[rng.integers(0, 5, shape)], rng.integers(0, 2, shape).astype(np.float64)),
+        "many-labels": (rng.integers(0, 200, shape), rng.integers(0, 200, shape)),
+    }
+
+
+@pytest.mark.parametrize("strip", [1, 7, 64, grid.STRIP])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 29), (29, 1), (13, 11), (131, 127)])
+def test_strip_counted_table_equals_the_whole_map_formula(monkeypatch, strip, shape):
+    # a strip holds max(STRIP, cells) pixels in whole rows: at STRIP 1 and 7
+    # as many as the table has cells, and at the default STRIP the 131x127
+    # many-labels table (about 200 x 200 cells) outgrows a strip
+    monkeypatch.setattr(metrics, "STRIP", strip)
+    rng = np.random.default_rng(strip * 7919 + shape[0] * 31 + shape[1])
+    for name, (pred, gt) in _label_pairs(shape, rng).items():
+        counts = ConfusionCounts.from_maps(pred, gt)
+        table, pred_labels, gt_labels = confusion_table_unique(pred, gt)
+        for got, want in ((counts.table, table), (counts.pred_labels, pred_labels),
+                          (counts.gt_labels, gt_labels)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_one_table_gives_both_metric_families():
+    rng = np.random.default_rng(7)
+    pred = rng.integers(0, 3, (9, 10))
+    gt = rng.integers(0, 4, (9, 10))
+    counts = ConfusionCounts.from_maps(pred, gt)
+    assert counts.overlap(2) == overlap_metrics(pred, gt, 2) == overlap_loop(pred, gt, 2)
+    assert counts.clustering() == clustering_metrics(pred, gt)

@@ -48,5 +48,8 @@ def test_parameter_validation():
         make_phantom("two-phase", 8, 0.0, 0)
     with pytest.raises(ValueError):
         make_phantom("two-phase", 64, -0.1, 0)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            make_phantom("two-phase", 64, sigma, 0)
     with pytest.raises(ValueError):
         make_phantom("blob", 64, 0.0, 0)

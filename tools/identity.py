@@ -1,15 +1,19 @@
-"""Byte-identity of `msvar segment` outputs between two source checkouts.
+"""Byte-identity of `msvar segment` and `msvar eval` outputs between two
+source checkouts.
 
     python3 tools/identity.py PARENT_CHECKOUT
 
 Runs from the root of a source checkout. For each benchmark workload (the
 flags and phantoms of perfbench/run.py) and phantom seeds 1 and 2, it writes the
-phantom's image.pgm once, then runs `msvar segment` on it with that
+phantom's image.pgm and gt.pgm once, then runs `msvar segment` on it with that
 workload's flags from this checkout's src/ and from PARENT_CHECKOUT/src/,
 each in a fresh interpreter under MSVAR_THREADS=1. It compares the exit
 codes, the set of output files and every file's bytes, except that run.json
-is compared as parsed JSON without its `input` key. It prints one line per
-run and exits 1 on any difference (2 on a usage error).
+is compared as parsed JSON without its `input` key. It then runs
+`msvar eval MASK gt.pgm` from both checkouts on this checkout's mask, with
+`--positive-class 1` for the two-class workloads as the benchmark does, and
+compares the exit codes and stdout bytes. It prints one line per workload
+and seed and exits 1 on any difference (2 on a usage error).
 """
 
 import argparse
@@ -41,14 +45,14 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def segment(checkout, flags, image, out_dir):
-    """Run `msvar segment` from checkout/src in a fresh interpreter; returns
-    (exit code, stderr)."""
+def msvar(checkout, args, cwd):
+    """Run the msvar CLI on args from checkout/src in a fresh interpreter;
+    returns (exit code, stdout bytes, stderr)."""
     env = dict(os.environ, MSVAR_THREADS="1")
     env.pop("PYTHONPATH", None)
-    argv = [sys.executable, "-c", CHILD, str(checkout / "src"), "segment", *flags, str(image), str(out_dir)]
-    done = subprocess.run(argv, env=env, cwd=out_dir.parent, capture_output=True, text=True)
-    return done.returncode, done.stderr
+    argv = [sys.executable, "-c", CHILD, str(checkout / "src"), *map(str, args)]
+    done = subprocess.run(argv, env=env, cwd=cwd, capture_output=True)
+    return done.returncode, done.stdout, done.stderr.decode(errors="replace")
 
 
 def outputs(out_dir):
@@ -73,7 +77,7 @@ def compare(name, seed, parent, work):
     sides = {}
     for side, checkout in (("change", ROOT), ("parent", parent)):
         out_dir = inputs / side
-        code, stderr = segment(checkout, wl.flags, inputs / "image.pgm", out_dir)
+        code, _, stderr = msvar(checkout, ["segment", *wl.flags, inputs / "image.pgm", out_dir], inputs)
         if code not in (0, 3):
             return [f"{side} exited {code}: {stderr.strip()}"]
         sides[side] = (code, outputs(out_dir))
@@ -82,6 +86,15 @@ def compare(name, seed, parent, work):
     if set(got) != set(want):
         problems.append(f"output files {sorted(want)} -> {sorted(got)}")
     problems += [f"{file} differs" for file in sorted(set(got) & set(want)) if got[file] != want[file]]
+
+    args = ["eval", inputs / "change" / "mask.pgm", inputs / "gt.pgm"]
+    if wl.classes == 2:
+        args += ["--positive-class", "1"]
+    (code, row, stderr), (parent_code, parent_row, _) = (msvar(c, args, inputs) for c in (ROOT, parent))
+    if code != 0:
+        problems.append(f"eval exited {code}: {stderr.strip()}")
+    elif (code, row) != (parent_code, parent_row):
+        problems.append(f"eval differs: exit {parent_code} -> {code}, {parent_row!r} -> {row!r}")
     return problems
 
 
@@ -98,7 +111,8 @@ def main(argv=None):
             for seed in SEEDS:
                 problems = compare(name, seed, parent, Path(tmp))
                 failed = failed or bool(problems)
-                print(f"{name} seed {seed}: {'; '.join(problems) or 'identical'}", flush=True)
+                print(f"{name} seed {seed}: {'; '.join(problems) or 'identical, eval identical'}",
+                      flush=True)
     return 1 if failed else 0
 
 
