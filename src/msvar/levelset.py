@@ -266,15 +266,20 @@ def evolve_step(x, state):
     return replace(state, phi=state.phi - state.dt * d)
 
 
-def _tv_term(chi, lambda_tv, tv_eps):
-    """(lambda / 2) sum_n TV(chi_n), 0 when lambda is. For p = 1, chi_0 = 1 - chi_1
-    has the same TV, so the term is softseg.two_class_tv's lambda TV(chi_1), one
-    stencil."""
+def _energy_terms(x, chi, c, lambda_tv, tv_eps, sq=None):
+    """(energy, data, tv) of memberships chi at means c: softseg.energy's data
+    term, with the squared residual built in sq when given, and
+    tv = (lambda / 2) sum_n TV(chi_n), 0 when lambda is. For p = 1,
+    chi_0 = 1 - chi_1 has the same TV, so tv is softseg.two_class_tv's
+    lambda TV(chi_1), one stencil."""
+    loss, data, _ = energy(x, chi, c, 0.0, tv_eps, grad_out=sq)
     if chi.shape[0] == 2:
-        return two_class_tv(chi, 0.5 * lambda_tv, tv_eps)
-    if lambda_tv == 0.0:
-        return 0.0
-    return 0.5 * lambda_tv * sum(tv_smooth(c, tv_eps) for c in chi)
+        tv = two_class_tv(chi, 0.5 * lambda_tv, tv_eps)
+    elif lambda_tv == 0.0:
+        tv = 0.0
+    else:
+        tv = 0.5 * lambda_tv * sum(tv_smooth(plane, tv_eps) for plane in chi)
+    return loss + tv, data, tv
 
 
 def levelset_energy(x, state, tv_eps=1e-8):
@@ -289,8 +294,7 @@ def levelset_energy(x, state, tv_eps=1e-8):
     """
     x = as_image(x)
     chi = memberships(state)
-    tv = _tv_term(chi, state.lambda_tv, tv_eps)
-    return energy(x, chi, weighted_means(x, chi), 0.5 * state.lambda_tv, tv_eps, tv_y=tv)
+    return _energy_terms(x, chi, weighted_means(x, chi), state.lambda_tv, tv_eps)
 
 
 def hard_labels(state):
@@ -351,7 +355,7 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
         initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed).phi,
         lambda phi, out=None: memberships(LevelSetState(phi, eps_h), out),
         lambda phi, y, c, b, sq: _direction(phi, sq, eps_h, lambda_tv), fixed_step=True,
-        tv_term=lambda chi, _: _tv_term(chi, lambda_tv, tv_eps))
+        loss_terms=lambda chi, c, sq: _energy_terms(x, chi, c, lambda_tv, tv_eps, sq))
     labels = hard_labels(LevelSetState(phi, eps_h))
     means = np.zeros((cfg.num_classes, x.shape[2]))
     for k in range(cfg.num_classes):

@@ -77,11 +77,12 @@ def save_image(path, image):
 
 
 def load_labelmap(path):
-    """Load a P5 file as an (H, W) int label map (gray level = class index)."""
+    """Load a P5 file as an (H, W) int label map (gray level = class index),
+    in the raster's one-byte integers (uint8)."""
     raster, _ = _read_raster(path)
     if raster.shape[2] != 1:
         raise ValueError("label maps must be single channel (P5)")
-    return raster[:, :, 0].astype(np.int64)
+    return raster[:, :, 0].copy()  # a writable array, not a view of the file's bytes
 
 
 def save_labelmap(path, labels):

@@ -20,23 +20,27 @@ residual of its data term alone.
 The kernels on the descent path work in place, one class (and channel) at
 a time, over strips of grid.STRIP elements: they allocate what they return
 and strip-sized buffers, never an (N, H, W, C) residual, and leave their
-inputs unchanged (_chain_softmax alone overwrites the gradient it is given).
+inputs unchanged (the two chain rules overwrite the gradient they are given).
 The residual sums, softmax, both chain rules and the trial step
 u - (d * eta) (_step) give each element the operands of the whole-plane
 formula in its order, so the strip length does not show in their bits. The
 fused loss-and-gradient pass, energy(..., grad_out=g), builds the residual
 in g: the data term is one np.einsum dot of the residual and the
 memberships, with or without g, and the TV value and gradient are taken
-over strips too. A logit trial of N planes never forms its logits:
+over strips too. A logit trial never forms its logits:
 softmax(u, d, eta, out) takes them strip by strip, into a stack the descent
-reuses (see block_descent).
+reuses (see block_descent), and so does two_class_memberships.
 
 Two classes without a bias field descend one plane, u = z_1 - z_0:
 softmax((0, u)) is two_class_memberships(u), the two TV terms are
-two_class_tv's one stencil, and each trial's u is formed once, in a buffer
-that becomes u. The result's labels are y_1 > y_0 of its memberships, and a
-k-means start is +-KMEANS_LOGIT_GAP straight from the labels (see
-_softmax_descent).
+two_class_tv's one stencil, and two_class_energy keeps one gradient plane,
+f_1 + 2 lambda grad TV(y_1), in which the direction is formed in place
+(f_0 is formed again per strip). Its trials, like the N planes', are taken
+strip by strip by two_class_memberships(u, d, eta, out), and an accepted
+step moves u in place, so the descent holds six (H, W) planes: the image,
+u, the direction, the gradient and the two memberships. The result's labels
+are y_1 > y_0 of its memberships, and a k-means start is +-KMEANS_LOGIT_GAP
+straight from the labels (see _softmax_descent).
 """
 
 import bisect
@@ -115,28 +119,34 @@ def softmax(logits, d=None, eta=0.0, out=None):
     return out
 
 
-@np.errstate(invalid="ignore")  # an infinite u is reported by the isfinite check
-def two_class_memberships(u, out=None):
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite trial is reported by the isfinite check
+def two_class_memberships(u, d=None, eta=0.0, out=None):
     """Memberships (y_0, y_1) = softmax((0, u)) of one (H, W) logit difference
-    u = z_1 - z_0, as a (2, H, W) stack, written into out when given.
+    u = z_1 - z_0, as a (2, H, W) stack, written into out when given; or,
+    given a direction d of u's shape, those of the trial u - (d * eta), which
+    is never formed as a whole and rounds as _step rounds it.
 
     Walks strips of STRIP pixels with softmax's own operations on the logits
-    (0, u): m = max(u, 0), e_0 = exp(-m), e_1 = exp(u - m) (so one of the
-    two is exp(0) = 1 at each pixel) and y_n = e_n / (e_0 + e_1), which are
-    softmax(np.stack([0 * u, u])) bit for bit. A non-finite u raises
-    ValueError, as softmax does.
+    (0, t), t the strip of u or of the trial: m = max(t, 0), e_0 = exp(-m),
+    e_1 = exp(t - m) (so one of the two is exp(0) = 1 at each pixel) and
+    y_n = e_n / (e_0 + e_1), which are softmax(np.stack([0 * t, t])) bit for
+    bit. A non-finite t raises ValueError, as softmax does.
     """
     u = np.asarray(u, dtype=np.float64)
     if out is None:
         out = np.empty((2,) + u.shape)
     u, y = u.reshape(-1), out.reshape(2, -1)
+    if d is not None:
+        d = d.reshape(-1)
     s_all = np.empty(min(STRIP, u.size))  # e_0 + e_1
     for i in range(0, u.size, STRIP):
         j = min(i + STRIP, u.size)
-        us, s, y0, y1 = u[i:j], s_all[: j - i], y[0, i:j], y[1, i:j]
-        np.maximum(us, 0.0, out=y0)
-        np.subtract(us, y0, out=y1)
-        if not np.isfinite(np.min(y1)):  # u - max(u, 0) is -inf or nan where u is not finite
+        t, s, y0, y1 = u[i:j], s_all[: j - i], y[0, i:j], y[1, i:j]
+        if d is not None:
+            t = np.subtract(t, np.multiply(d[i:j], eta, out=y1), out=y1)
+        np.maximum(t, 0.0, out=y0)
+        np.subtract(t, y0, out=y1)
+        if not np.isfinite(np.min(y1)):  # t - max(t, 0) is -inf or nan where t is not finite
             raise ValueError("logits contain non-finite values")
         np.negative(y0, out=y0)
         np.exp(y0, out=y0)
@@ -147,18 +157,21 @@ def two_class_memberships(u, out=None):
     return out
 
 
-def _chain_two_class(y, g):
-    """dE/du = y_0 y_1 (g_1 - g_0), the gradient g in memberships y =
-    two_class_memberships(u) pulled back to u, as a new (H, W) plane formed
-    STRIP elements at a time."""
-    d = np.empty(g.shape[1:])
-    y2, g2, d1 = y.reshape(2, -1), g.reshape(2, -1), d.reshape(-1)
-    for i in range(0, d1.size, STRIP):
-        j = min(i + STRIP, d1.size)
-        ds = np.subtract(g2[1, i:j], g2[0, i:j], out=d1[i:j])
+def _chain_two_class(x, y, c, g):
+    """dE/du = y_0 y_1 (g - f_0), with f_0 = ||x - c_0||^2 and g the gradient
+    plane of two_class_energy (g - f_0 is g_1 - g_0 of the two-plane
+    gradient), formed in g and returned, STRIP elements at a time. f_0 is
+    formed again per strip by _residual_sums, so it has the bits of the
+    two-plane gradient's g_0."""
+    xs, y2, d = x.reshape(-1, x.shape[2]), y.reshape(2, -1), g.reshape(-1)
+    f0 = np.empty((1, min(STRIP, d.size)))
+    for i in range(0, d.size, STRIP):
+        j = min(i + STRIP, d.size)
+        ds = d[i:j]
+        ds -= _residual_sums(xs[i:j, None], c[:1], out=f0[:, : j - i])[0]
         ds *= y2[0, i:j]
         ds *= y2[1, i:j]
-    return d
+    return g
 
 
 def _step(u, d, eta, out):
@@ -301,26 +314,59 @@ def two_class_tv(y, lambda_tv, tv_eps, grad_out=None):
     """lambda_tv (TV(y_0) + TV(y_1)) of two memberships that sum to 1, taken
     as 2 lambda_tv TV(y_1): y_0 = 1 - y_1 has the same TV, so one stencil
     gives the term, equal to the two-plane sum to within about one rounding.
-    Given a (2, H, W) grad_out, adds the term's gradient, 2 lambda_tv
-    grad TV(y_1), into grad_out[1]. A zero lambda_tv gives exactly 0.
+    Given an (H, W) grad_out, adds the term's gradient, 2 lambda_tv
+    grad TV(y_1), into it. A zero lambda_tv gives exactly 0.
     """
     if lambda_tv == 0.0:
         return 0.0
     w = 2.0 * lambda_tv
-    return w * tv_smooth(y[1], tv_eps, None if grad_out is None else grad_out[1], w)
+    return w * tv_smooth(y[1], tv_eps, grad_out, w)
+
+
+def _two_class_data(x, y, c, f1=None):
+    """The data term sum_r f_0 y_0 + f_1 y_1 of two memberships, with
+    f_n = ||x - c_n||^2, taken STRIP pixels at a time, one np.einsum dot per
+    class and strip. f_0, and f_1 unless an (H, W) plane f1 is given to take
+    it, are formed in strip buffers, which are freed on return."""
+    xs, y2 = x.reshape(-1, x.shape[2]), y.reshape(2, -1)
+    buf = np.empty((2, min(STRIP, len(xs))))
+    plane = None if f1 is None else f1.reshape(1, -1)
+    data = 0.0
+    for i in range(0, len(xs), STRIP):
+        j = min(i + STRIP, len(xs))
+        f0s = _residual_sums(xs[i:j, None], c[:1], out=buf[:1, : j - i])[0]
+        out = buf[1:, : j - i] if plane is None else plane[:, i:j]
+        f1s = _residual_sums(xs[i:j, None], c[1:], out=out)[0]
+        data += np.einsum("i,i->", f0s, y2[0, i:j]) + np.einsum("i,i->", f1s, y2[1, i:j])
+    return float(data)
+
+
+def two_class_energy(x, y, c, lambda_tv, tv_eps, grad_out=None):
+    """energy's (loss, data, tv_y) of two memberships that sum to 1: the data
+    term is _two_class_data's and the TV term two_class_tv's. Given an (H, W)
+    grad_out, the same pass writes into it the one gradient plane the
+    two-class direction reads, f_1 + 2 lambda_tv grad TV(y_1); the
+    gradient's other plane, f_0, is not kept (see _chain_two_class).
+    ms_loss and the two-class descent take their terms from here.
+    """
+    data = _two_class_data(x, y, c, grad_out)
+    tv_y = two_class_tv(y, lambda_tv, tv_eps, grad_out)
+    return data + tv_y, data, tv_y
 
 
 def ms_loss(x, seg, cfg):
     """Relaxed piecewise-constant loss; returns (loss, data_term, tv_term).
 
-    Centroids are recomputed internally from the current memberships. For
-    two classes the TV term is two_class_tv's, as minimize_ms descends it.
+    Centroids are recomputed internally from the current memberships. Two
+    classes take their terms from two_class_energy, as minimize_ms descends
+    them.
     """
     x = as_image(x)
     y = seg.memberships
     c = weighted_means(x, y)
-    tv_y = two_class_tv(y, cfg.lambda_tv, cfg.tv_eps) if y.shape[0] == 2 else None
-    return energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, tv_y=tv_y)
+    if y.shape[0] == 2:
+        return two_class_energy(x, y, c, cfg.lambda_tv, cfg.tv_eps)
+    return energy(x, y, c, cfg.lambda_tv, cfg.tv_eps)
 
 
 def _chain_softmax(y, grad_y):
@@ -621,7 +667,7 @@ def _bb_step(s_s, s_dg, last):
 
 
 def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=False,
-                  tv_term=None, in_place=False):
+                  loss_terms=None, in_place=False):
     """Block-coordinate descent on the energy over memberships y = members(u)
     (and a bias field b).
 
@@ -631,13 +677,13 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     run stops as "stalled". Returns ((u, y, c, b), trace, stop), c the means.
 
     members(u, out=None) returns the memberships of u, written into out when
-    given, a stack whose contents are no longer needed. Each trial
-    u - (d * eta) is formed by _step, strip by strip, in one buffer per step
-    (the stack of d' once its dot products are taken), which an accepted step
-    keeps as u, so u is never moved, and the trials write their memberships
-    into the current memberships' stack; if the block exhausts, members(u) is
-    recomputed into it. With in_place, for u as large as the memberships (the
-    N softmax logits), where that buffer would cost one stack more,
+    given, a stack whose contents are no longer needed; the trials write
+    theirs into the current memberships' stack, and if the block exhausts,
+    members(u) is recomputed into it. Each trial u - (d * eta) is formed by
+    _step, strip by strip, in one buffer per step (the array of d' once its
+    dot products are taken, else a new one), which an accepted step keeps as
+    u, so u is never moved. With in_place (the softmax logits: N planes, or
+    the two-class plane), where that buffer would cost one array more,
     members(u, d, eta, out) instead returns the memberships of u - d * eta
     without forming that array, and block_descent owns u, which an accepted
     step moves in place by _step(u, d, eta, u), with the same rounding.
@@ -650,25 +696,25 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     b and dg the change in the gradient in b. Where s.dg <= 0 or the ratio is
     not finite, the block's last accepted step is reused. The dots on u are
     np.einsum's, which round alike under any BLAS thread count; with in_place
-    they, and those on b, are np.vdot's (BLAS ddot), whose rounding follows
-    the thread count.
+    and no loss_terms (the N softmax logits) they, and those on b, are
+    np.vdot's (BLAS ddot), whose rounding follows the thread count.
 
     With fixed_step set (the level-set Euler step, whose direction is not an
     energy gradient), every first trial step is cfg.step_size. g is the
     energy's gradient in the memberships at the current state, c (and b)
-    frozen, built by energy's grad_out; the direction may overwrite it, and
-    returns a new array, or with in_place g's stack itself. The start's
-    evaluation builds g, and without b so does every trial of u: into the
-    stack the direction read, or with in_place into the stack of d' once its
-    dot products are taken. A bias step moves c and b after the logit trials,
-    so with b given they build none, and the logit block builds g itself
-    before the direction.
+    frozen, built by energy's grad_out (or by loss_terms); the direction may
+    overwrite it, and returns a new array, or with in_place g itself, which
+    then has u's shape. The start's evaluation builds g, and without b so
+    does every trial of u: into the array the direction read, or with
+    in_place into the array of d' once its dot products are taken. A bias
+    step moves c and b after the logit trials, so with b given they build
+    none, and the logit block builds g itself before the direction.
 
-    tv_term(y, g), when given, returns the energy's TV term of memberships y
-    in place of cfg.lambda_tv sum_n TV(y_n). It is handed g holding the data
-    term's gradient, the squared residual ||x - c_n||^2 that the evaluation
-    builds for its data term, and may add its own gradient into it. It needs
-    no b.
+    loss_terms(y, c, g), when given, evaluates memberships y at means c in
+    place of energy: it returns the terms (loss first) and writes into g
+    what the direction reads. Two-class ms passes two_class_energy, whose g
+    is one plane, and the level set its energy with the squared residual as
+    g. It needs no b.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
 
@@ -676,12 +722,9 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
         # a trial that leaves u unchanged passes lambda sum_n TV(y_n) as tv_y,
         # one that leaves b unchanged gamma TV(b) as tv_b
         c = weighted_means(x, y, b)
-        if tv_term is None:
-            return (u, y, c, b, g), energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g, tv_b)
-        # a zero TV weight leaves the residual alone in g; tv_term adds the TV term
-        loss, data, _ = energy(x, y, c, 0.0, cfg.tv_eps, grad_out=g)
-        tv_y = tv_term(y, g)
-        return (u, y, c, b, g), (loss + tv_y, data, tv_y)
+        if loss_terms is not None:
+            return (u, y, c, b, g), loss_terms(y, c, g)
+        return (u, y, c, b, g), energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g, tv_b)
 
     # per block: its last accepted step, and what its BB ratio keeps of that
     # step (u's direction d'; b and its gradient before the step)
@@ -691,13 +734,13 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     # step and what the BB ratio keeps of it, or with None for all three when
     # its backtracking exhausts
     def member_block(u, y, c, b, g):
-        if g is None:  # a bias step or an exhausted block left none (so there is no tv_term)
+        if g is None:  # a bias step or an exhausted block left none (so there is no loss_terms)
             g = np.empty_like(y)
             energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, grad_out=g)
         d = direction(u, y, c, b, g)
         step0, spare, prev[0] = steps[0], prev[0], None
         if spare is not None:
-            if in_place:
+            if in_place and loss_terms is None:
                 dd, dp = np.vdot(spare, spare), np.vdot(spare, d)
             else:
                 s, t = spare.reshape(-1), d.reshape(-1)
@@ -745,7 +788,7 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
 
     blocks = (member_block,) if b is None else (member_block, bias_block)
     y = members(u)
-    state, terms = evaluate(u, y, b, g=np.empty_like(y))
+    state, terms = evaluate(u, y, b, g=np.empty_like(u if in_place else y))
     del u, y, b  # state holds the current arrays
 
     def step():
@@ -789,11 +832,12 @@ def _softmax_descent(x, cfg, init, gamma=None):
     block stalls.
 
     Two classes without a bias field descend the one plane u = z_1 - z_0, whose
-    memberships softmax((0, u)) are two_class_memberships(u): the direction is
-    dE/du = y_0 y_1 (g_1 - g_0), the TV term two_class_tv's, and the steps
-    twice cfg.step_size, since a step of eta on (z_0, z_1) along their
-    gradient moves u by 2 eta along dE/du (the BB ratios are scale-free). So
-    the run follows the two-plane descent up to rounding. It starts from
+    memberships softmax((0, u)) are two_class_memberships(u): the terms are
+    two_class_energy's, the direction is dE/du = y_0 y_1 (g_1 - g_0), formed
+    in place in the one gradient plane, and the steps twice cfg.step_size,
+    since a step of eta on (z_0, z_1) along their gradient moves u by 2 eta
+    along dE/du (the BB ratios are scale-free). So the run follows the
+    two-plane descent up to rounding. It starts from
     _two_class_start. Its Result carries the logits (0, u), their softmax,
     written over the descent's final memberships (the same bits), and the
     labels y_1 > y_0, hard_mask's first maximum over two planes.
@@ -802,8 +846,9 @@ def _softmax_descent(x, cfg, init, gamma=None):
     if gamma is None and cfg.num_classes == 2:
         (u, y, c, b), trace, stop = block_descent(
             x, replace(cfg, step_size=2.0 * cfg.step_size), _two_class_start(x, cfg, init),
-            two_class_memberships, lambda u, y, c, b, g: _chain_two_class(y, g),
-            tv_term=lambda y, g: two_class_tv(y, cfg.lambda_tv, cfg.tv_eps, g))
+            two_class_memberships, lambda u, y, c, b, g: _chain_two_class(x, y, c, g),
+            loss_terms=lambda y, c, g: two_class_energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, g),
+            in_place=True)
         z = np.empty((2,) + u.shape)
         z[0], z[1] = 0.0, u
         del u
@@ -834,10 +879,10 @@ def minimize_ms(x, cfg, init="random"):
     Returns a Result with trace rows (loss, data_term, tv_term).
 
     Two classes descend the one logit plane u = z_1 - z_0 (see
-    _softmax_descent): block_descent's tv_term hook takes the TV term as
-    two_class_tv's 2 lambda TV(y_1) and adds its gradient to the residual's,
-    so the trace ends on ms_loss of the result bit for bit, and each step
-    follows the two-plane descent up to rounding.
+    _softmax_descent): block_descent's loss_terms hook evaluates them with
+    two_class_energy, as ms_loss does, so the trace ends on ms_loss of the
+    result bit for bit, and each step follows the two-plane descent up to
+    rounding.
     """
     x = as_image(x)
     cfg.validate()

@@ -28,7 +28,9 @@ def test_labelmap_round_trip_exact(tmp_path):
     labels = np.array([[0, 1, 2], [3, 255, 0]], dtype=np.int64)
     path = tmp_path / "labels.pgm"
     pnm.save_labelmap(path, labels)
-    assert np.array_equal(pnm.load_labelmap(path), labels)
+    back = pnm.load_labelmap(path)
+    assert np.array_equal(back, labels)
+    assert back.dtype == np.uint8 and back.flags.writeable  # one byte per label, as stored
 
 
 def test_save_is_deterministic(tmp_path):

@@ -451,16 +451,20 @@ def test_iterate_stops_at_max_iters():
 
 
 def _rising_energy(monkeypatch):
-    """Make every energy evaluation after the first far worse than the one before."""
-    real = softseg.energy
+    """Make every energy evaluation after the first far worse than the one before,
+    energy's and two_class_energy's (the two-class ms descent's) alike."""
     calls = []
 
-    def rising(*args, **kwargs):
-        terms = real(*args, **kwargs)
-        calls.append(1)
-        return (terms[0] + 1e6 * (len(calls) - 1),) + terms[1:]
+    def rising(real):
+        def evaluated(*args, **kwargs):
+            terms = real(*args, **kwargs)
+            calls.append(1)
+            return (terms[0] + 1e6 * (len(calls) - 1),) + terms[1:]
 
-    monkeypatch.setattr(softseg, "energy", rising)
+        return evaluated
+
+    for name in ("energy", "two_class_energy"):
+        monkeypatch.setattr(softseg, name, rising(getattr(softseg, name)))
     return calls
 
 
@@ -763,9 +767,10 @@ def test_minimize_ms_peak_memory_in_membership_stacks(quantised, biased):
     # stacks traced with the image and the strip buffers; 6.6 when each trial
     # built its logits and new stacks, 7.5 before the kernels worked in place).
     # Two classes without a bias field descend one logit plane: u, the
-    # direction and the last direction (which takes the trial u) are one
-    # plane each, beside the memberships and gradient stacks (about 3.9
-    # stacks traced on the PGM-quantised input).
+    # direction, the one gradient plane (which the last direction becomes)
+    # and the two membership planes, five (H, W) planes with the image
+    # outside the count, with strip buffers on top (about 2.9 stacks traced on
+    # the PGM-quantised input; 3.9 with a two-plane gradient and a trial u).
     # On unquantised input k-means clusters every pixel value and its
     # temporaries set the peak at about 6.6 stacks. With a bias field,
     # weighted_means forms the products of y and b as whole stacks, which sets
@@ -790,7 +795,7 @@ def test_minimize_ms_peak_memory_in_membership_stacks(quantised, biased):
     finally:
         if not tracing:
             tracemalloc.stop()
-    bound = 7.5 if biased else 5.0 if quantised else 6.75
+    bound = 7.5 if biased else 3.25 if quantised else 6.75
     assert peak < bound * stack, f"traced peak {peak / stack:.2f} stacks"
 
 
@@ -1000,7 +1005,7 @@ def test_two_class_memberships_are_the_softmax_of_zero_and_u_bit_for_bit(monkeyp
     u.flat[:10] = [700.0, -700.0, 1e-17, -1e-17, 0.0, -0.0, 745.5, -745.5, 1e308, -1e308]
     assert softseg.two_class_memberships(u).tobytes() == _bits_of_softmax_of_zero_and(u)
     out = np.full((2,) + u.shape, np.nan)
-    assert softseg.two_class_memberships(u, out) is out
+    assert softseg.two_class_memberships(u, out=out) is out
     assert out.tobytes() == _bits_of_softmax_of_zero_and(u)
     small = rng.uniform(-40.0, 40.0, (13, 8))
     small.flat[:4] = [700.0, -1e-17, -0.0, -700.0]
@@ -1058,16 +1063,17 @@ def test_two_class_ms_follows_the_two_plane_descent(size, noise_seed, cfg, quant
     assert np.array_equal(result.seg.memberships, softmax(result.seg.logits))
 
 
-def test_two_class_ms_takes_one_tv_stencil_per_evaluation_and_moves_nothing_in_place(
+def test_two_class_ms_takes_one_tv_stencil_per_evaluation_and_moves_u_in_place_per_step(
         monkeypatch):
     # each evaluation takes its TV value and gradient from one stencil on y_1;
-    # each trial's u is formed once, in a buffer that is not u, and softmax
-    # forms only the result's memberships from its logits (0, u)
-    calls, trials = {}, []
+    # no trial u is formed: two_class_memberships takes each trial strip by
+    # strip, and an accepted step moves u in place by _step(u, d, eta, u);
+    # softmax forms only the result's memberships from its logits (0, u)
+    calls, trials, trial_members = {}, [], []
     for name in ("tv_smooth", "tv_smooth_grad", "softmax", "_chain_softmax"):
         _counting(monkeypatch, softseg, name, calls)
     _counting_steps(monkeypatch, calls)
-    real_descend = softseg._descend
+    real_descend, real_members = softseg._descend, softseg.two_class_memberships
 
     def counting_descend(state_eval, step0, loss_now):
         def counted(eta):
@@ -1076,11 +1082,19 @@ def test_two_class_ms_takes_one_tv_stencil_per_evaluation_and_moves_nothing_in_p
 
         return real_descend(counted, step0, loss_now)
 
+    def recording_members(u, d=None, eta=0.0, out=None):
+        if d is not None:
+            trial_members.append(eta)
+        return real_members(u, d, eta, out)
+
     monkeypatch.setattr(softseg, "_descend", counting_descend)
+    monkeypatch.setattr(softseg, "two_class_memberships", recording_members)
     image, _, _ = make_phantom("two-phase", 24, 0.05, 0)
     result = minimize_ms(image, MsConfig(num_classes=2, max_iters=4), init="kmeans")
     assert len(result.trace) == 5 and len(trials) >= 4
-    assert calls == {"tv_smooth": 1 + len(trials), "softmax": 1, "_step": len(trials)}
+    assert calls == {"tv_smooth": 1 + len(trials), "softmax": 1,
+                     "_step in place": len(result.trace) - 1}
+    assert trial_members == trials  # every trial's memberships, from u, d and eta
     assert trials[0] == 2 * MsConfig().step_size  # a step of eta on (z_0, z_1) moves u by 2 eta
 
 
@@ -1117,11 +1131,38 @@ def test_strip_mined_passes_equal_the_whole_plane_formulas(monkeypatch, strip, s
                 assert softseg._residual_sums(x, c, bias, weights, out) is out
                 assert out.tobytes() == want.tobytes()
     y = softseg.two_class_memberships(rng.uniform(-30.0, 30.0, shape))
-    g = rng.uniform(-3.0, 3.0, (2,) + shape)
-    before = g.copy()
-    assert softseg._chain_two_class(y, g).tobytes() == ((g[1] - g[0]) * y[0] * y[1]).tobytes()
-    assert np.array_equal(g, before)
+    for channels in (1, 3):
+        x = rng.random(shape + (channels,))
+        c = rng.uniform(-0.5, 1.5, (2, channels))
+        f = _residual_sums_whole(x, c)
+        # the direction, formed in the one gradient plane, is g_1 - g_0 pulled back
+        g = rng.uniform(-3.0, 3.0, shape)
+        want = ((g - f[0]) * y[0] * y[1]).tobytes()
+        assert softseg._chain_two_class(x, y, c, g) is g and g.tobytes() == want
+        # the evaluation writes g_1 = f_1 + 2 lambda grad TV(y_1) and takes the
+        # data term of both planes from strips
+        g = np.full(shape, np.nan)
+        loss, data, tv = softseg.two_class_energy(x, y, c, 1e-2, 1e-3, g)
+        assert g.tobytes() == (f[1] + 2e-2 * tv_smooth_grad(y[1], 1e-3)).tobytes()
+        assert data == pytest.approx(np.einsum("i,i->", f.ravel(), y.ravel()), rel=1e-14)
+        assert tv == softseg.two_class_tv(y, 1e-2, 1e-3) and loss == data + tv
+        assert softseg.two_class_energy(x, y, c, 1e-2, 1e-3) == (loss, data, tv)
+    # a trial's memberships, taken strip by strip from u, d and eta, are those
+    # of the trial u - d * eta formed as a whole, and leave u and d unchanged
     u, d, eta = rng.uniform(-40.0, 40.0, shape), rng.uniform(-9.0, 9.0, shape), 0.3711
+    u.flat[0], d.flat[-1] = 700.0, -1e-17
+    before = u.tobytes(), d.tobytes()
+    out = np.full((2,) + shape, np.nan)
+    assert softseg.two_class_memberships(u, d, eta, out) is out
+    assert out.tobytes() == softseg.two_class_memberships(u - d * eta).tobytes()
+    assert (u.tobytes(), d.tobytes()) == before
+    for bad in (np.inf, -np.inf, np.nan):  # a trial that is not finite raises
+        d_bad = d.copy()
+        d_bad.flat[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            softseg.two_class_memberships(u, d_bad, eta, out)
+    with pytest.raises(ValueError, match="non-finite"):  # u - d * eta overflows
+        softseg.two_class_memberships(u, np.full(shape, -1e308), 10.0, out)
     want = u - d * eta
     trial = np.full_like(u, np.nan)
     assert softseg._step(u, d, eta, trial) is trial and trial.tobytes() == want.tobytes()

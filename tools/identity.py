@@ -14,6 +14,11 @@ is compared as parsed JSON without its `input` key. It then runs
 `--positive-class 1` for the two-class workloads as the benchmark does, and
 compares the exit codes and stdout bytes. It prints one line per workload
 and seed and exits 1 on any difference (2 on a usage error).
+
+Where trace.csv differs it says by how much: the row counts and stop
+reasons of both sides, and per energy column the largest |difference| over
+the rows both have, relative to the parent's start loss. Where run.json
+differs it names the keys that do (results.* for those of its results).
 """
 
 import argparse
@@ -68,6 +73,41 @@ def outputs(out_dir):
     return files
 
 
+def _flat(run):
+    """run.json's keys, with those of its results as results.KEY."""
+    flat = {k: v for k, v in run.items() if k != "results"}
+    flat.update({f"results.{k}": v for k, v in run.get("results", {}).items()})
+    return flat
+
+
+def _trace(blob):
+    """(energy column names, rows of energy values) of a trace.csv."""
+    header, *rows = blob.decode().splitlines()
+    return header.split(",")[1:], [[float(v) for v in row.split(",")[1:]] for row in rows]
+
+
+def describe(file, got, want):
+    """One line saying how file differs between this checkout's outputs got
+    and the parent's want ({file name: contents} each)."""
+    if file == "run.json":
+        new, old = _flat(got[file]), _flat(want[file])
+        keys = sorted(k for k in set(new) | set(old) if new.get(k) != old.get(k))
+        return f"run.json differs in {', '.join(keys)}"
+    if file != "trace.csv":
+        return f"{file} differs"
+    columns, rows = _trace(got[file])
+    _, parent_rows = _trace(want[file])
+    stops = [_flat(side.get("run.json", {})).get("results.stop") for side in (want, got)]
+    line = f"trace.csv differs: rows {len(parent_rows)} -> {len(rows)}, stop {stops[0]} -> {stops[1]}"
+    if parent_rows and rows and len(columns) == len(parent_rows[0]):
+        start = abs(parent_rows[0][0]) or 1.0
+        deltas = [max(abs(a[k] - b[k]) for a, b in zip(rows, parent_rows)) / start
+                  for k in range(len(columns))]
+        line += ", max |delta| / start loss: " + ", ".join(
+            f"{name} {delta:.2g}" for name, delta in zip(columns, deltas))
+    return line
+
+
 def compare(name, seed, parent, work):
     """Differences between this checkout's and the parent's outputs, as text lines."""
     wl = WORKLOADS[name]
@@ -85,7 +125,8 @@ def compare(name, seed, parent, work):
     problems = [] if code == parent_code else [f"exit code {parent_code} -> {code}"]
     if set(got) != set(want):
         problems.append(f"output files {sorted(want)} -> {sorted(got)}")
-    problems += [f"{file} differs" for file in sorted(set(got) & set(want)) if got[file] != want[file]]
+    problems += [describe(file, got, want) for file in sorted(set(got) & set(want))
+                 if got[file] != want[file]]
 
     args = ["eval", inputs / "change" / "mask.pgm", inputs / "gt.pgm"]
     if wl.classes == 2:
