@@ -11,13 +11,13 @@ regions it separates, and the velocity descends lambda times its length. For
 p = 1 the two regions, 1 - H and H, share their TV, so the term is taken as
 lambda TV(H), one stencil instead of two.
 
-A step builds each plane once: the memberships are formed in place in the
-stack the descent reuses, the velocity reads the squared residuals that the
-accepted step's energy evaluation built, and it is formed in place, negated
-and with the delta folded in, as the descent direction; block_descent forms
-each trial phi - d * eta in the buffer that becomes phi when it is accepted.
-Every operation keeps the operands and order of the plain formulas, so the
-results are theirs bit for bit.
+A step builds each plane once: each trial phi - d * eta is formed in the
+planes of the stack the descent reuses where its Heavisides are then taken
+in place, the velocity reads the squared residuals that the accepted step's
+energy evaluation built, and it is formed in place, negated and with the
+delta folded in, as the descent direction; an accepted step moves phi in
+place. Every operation keeps the operands and order of the plain formulas,
+so the results are theirs bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConvergenceError, check_number
 from .grid import as_image, strip_rows, tv_smooth
-from .softseg import (MsConfig, Result, block_descent, energy, sq_residual, two_class_tv,
-                      weighted_means)
+from .softseg import (MsConfig, Result, _step, block_descent, energy, sq_residual,
+                      two_class_tv, weighted_means)
 
 # Added to |grad phi|^3 in the curvature denominator.
 CURVATURE_GUARD = 1e-8
@@ -95,9 +95,10 @@ def memberships(state, out=None):
     """Smoothed characteristic functions of the 2^p classes, shape (N, H, W),
     written into out when given.
 
-    The Heavisides are formed in place in out. For p = 2 the four products of
-    h1, h2 and their complements g = 1 - h are taken in row strips of
-    grid.STRIP elements, with g2 in one strip-sized buffer.
+    The Heavisides are formed in place in out's last p planes, which may hold
+    phi itself (the descent forms its trials there). For p = 2 the four
+    products of h1, h2 and their complements g = 1 - h are taken in row strips
+    of grid.STRIP elements, with g2 in one strip-sized buffer.
     """
     phi, eps_h = state.phi, state.eps_h
     if out is None:
@@ -333,7 +334,9 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
     and the negated velocity as direction, which reads the squared residuals
     of the descent's last accepted evaluation: each step is an Euler step of
     trial length dt, halved while the energy rises, so the trace is
-    non-increasing.
+    non-increasing. Each trial phi - d * eta is formed in the memberships'
+    planes that its Heavisides then take, and an accepted step moves phi in
+    place.
     Returns a Result with the sign-pattern labels, their plain per-region means
     and trace rows (energy, data, tv), as levelset_energy gives them. Unless
     the relative energy change drops below rel_tol, raises ConvergenceError
@@ -349,12 +352,17 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
     _check_cfl(dt, lambda_tv)
     cfg.lambda_tv *= 0.5  # the energy's TV weight, as in levelset_energy
 
+    def members(phi, d=None, eta=0.0, out=None):
+        # a trial is formed in the planes where memberships takes its Heavisides
+        if d is not None:
+            phi = _step(phi, d, eta, out[-phases:])
+        return memberships(LevelSetState(phi, eps_h), out)
+
     # the initial level functions are passed inline so that no frame keeps them alive
     (phi, _, _, _), trace, stop = block_descent(
         x, cfg,
         initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed).phi,
-        lambda phi, out=None: memberships(LevelSetState(phi, eps_h), out),
-        lambda phi, y, c, b, sq: _direction(phi, sq, eps_h, lambda_tv), fixed_step=True,
+        members, lambda phi, y, c, b, sq: _direction(phi, sq, eps_h, lambda_tv), fixed_step=True,
         loss_terms=lambda chi, c, sq: _energy_terms(x, chi, c, lambda_tv, tv_eps, sq))
     labels = hard_labels(LevelSetState(phi, eps_h))
     means = np.zeros((cfg.num_classes, x.shape[2]))

@@ -101,14 +101,12 @@ class ConfusionCounts:
         agreements = total_pairs + 2 * together_both - together_pred - together_gt
         pri = agreements / total_pairs if total_pairs > 0 else 1.0
 
-        p_joint = table / n
-        p_pred = pred_sizes / n
-        p_gt = gt_sizes / n
-        h_pred = -float(np.sum(p_pred[p_pred > 0] * np.log(p_pred[p_pred > 0])))
-        h_gt = -float(np.sum(p_gt[p_gt > 0] * np.log(p_gt[p_gt > 0])))
-        nz = p_joint > 0
-        mi = float(np.sum(p_joint[nz] * np.log(p_joint[nz] / np.outer(p_pred, p_gt)[nz])))
-        vi = max(h_pred + h_gt - 2.0 * mi, 0.0)
+        # VI from the joint, sum_ij p_ij (log(p_i / p_ij) + log(p_j / p_ij)), in
+        # counts: no term is negative, and each is exactly 0 where a region of
+        # one map is a region of the other, so a map against itself gives 0.0
+        i, j = np.nonzero(table)
+        n_ij = table[i, j]
+        vi = float(np.sum(n_ij / n * (np.log(pred_sizes[i] / n_ij) + np.log(gt_sizes[j] / n_ij))))
         return rc, pri, vi
 
 
@@ -133,6 +131,8 @@ def clustering_metrics(pred, gt):
     rc: mean best-overlap covering of ground-truth regions by predicted
     regions, weighted by region size. pri: fraction of pixel pairs on which
     the two partitions agree (same/different), in closed form from the
-    contingency table. vi: H(pred) + H(gt) - 2 I(pred, gt), natural log.
+    contingency table. vi: H(pred) + H(gt) - 2 I(pred, gt), natural log, taken
+    from the joint distribution as -sum_ij p_ij (log(p_ij / p_i) + log(p_ij / p_j)),
+    so it is exactly 0.0 for two maps with the same regions.
     """
     return ConfusionCounts.from_maps(pred, gt).clustering()

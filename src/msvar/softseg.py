@@ -27,9 +27,11 @@ formula in its order, so the strip length does not show in their bits. The
 fused loss-and-gradient pass, energy(..., grad_out=g), builds the residual
 in g: the data term is one np.einsum dot of the residual and the
 memberships, with or without g, and the TV value and gradient are taken
-over strips too. A logit trial never forms its logits:
-softmax(u, d, eta, out) takes them strip by strip, into a stack the descent
-reuses (see block_descent), and so does two_class_memberships.
+over strips too. No trial is formed as a whole array of its own:
+softmax(u, d, eta, out) and two_class_memberships take a logit trial strip
+by strip, into the memberships' stack the descent reuses, the level set
+forms its trial in the planes of that stack that its Heavisides then take,
+and an accepted step moves u in place (see block_descent).
 
 Two classes without a bias field descend one plane, u = z_1 - z_0:
 softmax((0, u)) is two_class_memberships(u), the two TV terms are
@@ -667,7 +669,7 @@ def _bb_step(s_s, s_dg, last):
 
 
 def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=False,
-                  loss_terms=None, in_place=False):
+                  loss_terms=None):
     """Block-coordinate descent on the energy over memberships y = members(u)
     (and a bias field b).
 
@@ -676,17 +678,13 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     A block whose backtracking exhausts is skipped; when every block does, the
     run stops as "stalled". Returns ((u, y, c, b), trace, stop), c the means.
 
-    members(u, out=None) returns the memberships of u, written into out when
-    given, a stack whose contents are no longer needed; the trials write
-    theirs into the current memberships' stack, and if the block exhausts,
-    members(u) is recomputed into it. Each trial u - (d * eta) is formed by
-    _step, strip by strip, in one buffer per step (the array of d' once its
-    dot products are taken, else a new one), which an accepted step keeps as
-    u, so u is never moved. With in_place (the softmax logits: N planes, or
-    the two-class plane), where that buffer would cost one array more,
-    members(u, d, eta, out) instead returns the memberships of u - d * eta
-    without forming that array, and block_descent owns u, which an accepted
-    step moves in place by _step(u, d, eta, u), with the same rounding.
+    members(u, d=None, eta=0.0, out=None) returns the memberships of u, or
+    given d those of the trial u - (d * eta), rounded as _step rounds it,
+    written into out when given, a stack whose contents are no longer needed.
+    The trials write theirs into the current memberships' stack, and if the
+    block exhausts, members(u) is recomputed into it. No trial u is formed
+    as a whole: block_descent owns u, which an accepted step moves in place
+    by _step(u, d, eta, u).
 
     Each block's first trial step is cfg.step_size at the start and after the
     block exhausts; otherwise it is the Barzilai-Borwein ratio s.s / s.dg of
@@ -694,21 +692,23 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
     it: eta ||d'||^2 / (||d'||^2 - d'.d) for u, with d' the direction u last
     moved along by eta, and db.db / db.dg for b, with db the clamped change in
     b and dg the change in the gradient in b. Where s.dg <= 0 or the ratio is
-    not finite, the block's last accepted step is reused. The dots on u are
-    np.einsum's, which round alike under any BLAS thread count; with in_place
-    and no loss_terms (the N softmax logits) they, and those on b, are
-    np.vdot's (BLAS ddot), whose rounding follows the thread count.
+    not finite, the block's last accepted step is reused. Without b the dots
+    are np.einsum's, which round alike under any BLAS thread count; with b,
+    those on u and on b are np.vdot's (BLAS ddot), whose rounding follows the
+    thread count.
 
     With fixed_step set (the level-set Euler step, whose direction is not an
     energy gradient), every first trial step is cfg.step_size. g is the
     energy's gradient in the memberships at the current state, c (and b)
-    frozen, built by energy's grad_out (or by loss_terms); the direction may
-    overwrite it, and returns a new array, or with in_place g itself, which
-    then has u's shape. The start's evaluation builds g, and without b so
-    does every trial of u: into the array the direction read, or with
-    in_place into the array of d' once its dot products are taken. A bias
-    step moves c and b after the logit trials, so with b given they build
-    none, and the logit block builds g itself before the direction.
+    frozen, built by energy's grad_out (or by loss_terms): one plane where u
+    has fewer axes than y (the two-class logit difference), else one per
+    membership. The direction may overwrite g and returns either a new array
+    or g itself. The start's evaluation builds g, and without b so does every
+    trial of u: into the array the direction read, or, where the direction
+    returned that array as d, into the array of d' once its dot products are
+    taken (a new one at the first step). A bias step moves c and b after the
+    logit trials, so with b given they build none, and the logit block builds
+    g itself before the direction.
 
     loss_terms(y, c, g), when given, evaluates memberships y at means c in
     place of energy: it returns the terms (loss first) and writes into g
@@ -740,36 +740,26 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
         d = direction(u, y, c, b, g)
         step0, spare, prev[0] = steps[0], prev[0], None
         if spare is not None:
-            if in_place and loss_terms is None:
-                dd, dp = np.vdot(spare, spare), np.vdot(spare, d)
-            else:
+            if b is None:
                 s, t = spare.reshape(-1), d.reshape(-1)
                 dd, dp = np.einsum("i,i->", s, s), np.einsum("i,i->", s, t)
-            step0 = _bb_step(step0 * dd, dd - dp, step0)
-        if not in_place:
-            # the trials' g goes where the direction read it
-            trial = np.empty_like(u) if spare is None else spare
-
-            def evaluate_trial(eta):
-                v = _step(u, d, eta, trial)
-                return evaluate(v, members(v, out=y), b, g=g)
-        else:
-            # with b, a trial leaves b and gamma TV(b) as they are; without, d' is
-            # not needed past its dot products and its stack takes the trials' g
-            g = tv_b = None
-            if b is not None:
-                tv_b = terms[3]
             else:
-                g = np.empty_like(d) if spare is None else spare
-
-            def evaluate_trial(eta):
-                return evaluate(u, members(u, d, eta, y), b, g=g, tv_b=tv_b)
+                dd, dp = np.vdot(spare, spare), np.vdot(spare, d)
+            step0 = _bb_step(step0 * dd, dd - dp, step0)
+        # with b, a trial leaves b and gamma TV(b) as they are; without, its g goes
+        # where the direction read it, or, when the direction was formed there,
+        # into d', which is not needed past its dot products
+        tv_b = None
+        if b is not None:
+            g, tv_b = None, terms[3]
+        elif d is g:
+            g = np.empty_like(d) if spare is None else spare
         del spare
-        cand, cand_terms, exhausted, eta = _descend(evaluate_trial, step0, terms[0])
+        cand, cand_terms, exhausted, eta = _descend(
+            lambda eta: evaluate(u, members(u, d, eta, y), b, g=g, tv_b=tv_b), step0, terms[0])
         if exhausted:  # y holds a trial's memberships
             return (u, members(u, out=y), c, b, None), None, None, None
-        if in_place:
-            _step(u, d, eta, u)
+        _step(u, d, eta, u)
         return cand, cand_terms, eta, d
 
     def bias_block(u, y, c, b, _):
@@ -788,7 +778,7 @@ def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=F
 
     blocks = (member_block,) if b is None else (member_block, bias_block)
     y = members(u)
-    state, terms = evaluate(u, y, b, g=np.empty_like(u if in_place else y))
+    state, terms = evaluate(u, y, b, g=np.empty_like(u if u.ndim < y.ndim else y))
     del u, y, b  # state holds the current arrays
 
     def step():
@@ -847,8 +837,7 @@ def _softmax_descent(x, cfg, init, gamma=None):
         (u, y, c, b), trace, stop = block_descent(
             x, replace(cfg, step_size=2.0 * cfg.step_size), _two_class_start(x, cfg, init),
             two_class_memberships, lambda u, y, c, b, g: _chain_two_class(x, y, c, g),
-            loss_terms=lambda y, c, g: two_class_energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, g),
-            in_place=True)
+            loss_terms=lambda y, c, g: two_class_energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, g))
         z = np.empty((2,) + u.shape)
         z[0], z[1] = 0.0, u
         del u
@@ -861,7 +850,7 @@ def _softmax_descent(x, cfg, init, gamma=None):
     else:
         (z, y, c, b), trace, stop = block_descent(
             x, cfg, init_logits(x, cfg, init), softmax, lambda z, y, c, b, g: _chain_softmax(y, g),
-            None if gamma is None else np.ones(x.shape[:2]), gamma, in_place=True)
+            None if gamma is None else np.ones(x.shape[:2]), gamma)
         seg = SoftSegmentation(logits=z, memberships=y)
         labels = hard_mask(seg)
     result = Result(labels, c, trace, stop, seg, b)

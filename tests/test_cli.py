@@ -556,11 +556,12 @@ def test_levelset_is_identical_under_one_and_two_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_two_class_ms_is_identical_under_one_and_two_blas_threads(tmp_path):
-    # nor may the Barzilai-Borwein ratios of the one-plane descent
-    data = synth(tmp_path, size=128, sigma=0.05, seed=1)
+@pytest.mark.parametrize("kind, classes", [("two-phase", 2), ("four-phase", 4)])
+def test_ms_is_identical_under_one_and_two_blas_threads(tmp_path, kind, classes):
+    # nor may the Barzilai-Borwein ratios of the one-plane or the N-plane descent
+    data = synth(tmp_path, kind=kind, size=128, sigma=0.05, seed=1)
     codes, outs = _outputs_under_one_and_two_blas_threads(
-        tmp_path, data, ["--solver", "ms", "--classes", "2", "--init", "kmeans",
+        tmp_path, data, ["--solver", "ms", "--classes", str(classes), "--init", "kmeans",
                          "--max-iters", "100"])
     assert codes == [0, 0]
     assert len((outs[0] / "trace.csv").read_text().splitlines()) > 3  # BB steps were taken

@@ -420,36 +420,51 @@ def test_the_direction_is_the_negated_velocity_formula_bit_for_bit(phases):
 
 
 @pytest.mark.parametrize("phases", [1, 2])
-def test_each_evaluation_builds_the_residual_once_and_moves_no_step_in_place(monkeypatch,
-                                                                           phases):
-    # the velocity reads the residual its accepted evaluation built, and each
-    # trial's level functions are formed once, in the buffer that becomes u
-    calls, in_place = {}, []
+def test_each_evaluation_builds_the_residual_once_and_moves_phi_in_place_per_step(
+        monkeypatch, phases):
+    # the velocity reads the residual its accepted evaluation built; each
+    # trial's level functions are formed once, in the memberships' last p
+    # planes, where its Heavisides are then taken, and an accepted step moves
+    # phi in place
+    calls, trials, moves, trial_members = {}, [], [], []
     for name in ("_residual_sums", "weighted_means"):
         count_calls(monkeypatch, calls, softseg, name)
-    real_step = softseg._step
+    real_step, real_memberships = softseg._step, levelset.memberships
 
     def step(u, d, eta, out):
-        in_place.append(out is u)
+        (moves if out is u else trials).append(out)
         return real_step(u, d, eta, out)
 
-    monkeypatch.setattr(softseg, "_step", step)
+    def recording_memberships(state, out=None):
+        if trials and state.phi is trials[-1]:
+            planes = out[-phases:]
+            trial_members.append(state.phi.ctypes.data == planes.ctypes.data
+                                 and state.phi.shape == planes.shape)
+        return real_memberships(state, out)
+
+    for module in (softseg, levelset):
+        monkeypatch.setattr(module, "_step", step)
+    monkeypatch.setattr(levelset, "memberships", recording_memberships)
     image, _, _ = make_phantom("four-phase", 32, 0.05, 2)
     result, _ = run_segment(image, phases=phases, lambda_tv=1e-2, dt=8.0, eps_h=2.0,
                             max_iters=20)
     assert calls["weighted_means"] >= len(result.trace)
     assert calls["_residual_sums"] == calls["weighted_means"]
-    assert len(in_place) == calls["weighted_means"] - 1 and not any(in_place)  # one per trial
+    assert len(trials) == calls["weighted_means"] - 1  # one per trial
+    assert len(trial_members) == len(trials) and all(trial_members)  # in the memberships' planes
+    assert len(moves) == len(result.trace) - 1  # one per accepted step
     if phases == 2:
         assert calls["weighted_means"] > len(result.trace)  # a trial was rejected
 
 
 @pytest.mark.parametrize("phases, kind, dt, eps_h, bound",
-                         [(1, "two-phase", 1.0, 1.0, 8.0), (2, "four-phase", 2.0, 2.0, 18.5)])
+                         [(1, "two-phase", 1.0, 1.0, 7.75), (2, "four-phase", 2.0, 2.0, 18.5)])
 def test_traced_peak_of_a_level_set_solve(phases, kind, dt, eps_h, bound):
-    # u, the trial u, the direction, the memberships and the residual they
-    # build are the (H, W) planes a step holds: 7 for p = 1 and 14 for p = 2,
-    # with the stencils' strip buffers on top (7.8 and 15.5 planes traced)
+    # u, the direction, the memberships (whose last p planes take each trial
+    # u) and the residual they build are the (H, W) planes a step holds, 6 for
+    # p = 1, with the stencils' strip buffers on top (7.54 planes traced); a
+    # step holds no trial plane. For p = 2 the peak is reached while the
+    # velocity is formed (15.5 planes traced)
     size = 256
     image, _, _ = make_phantom(kind, size, 0.05, 0)
     plane = size * size * np.dtype(np.float64).itemsize

@@ -59,12 +59,15 @@ def test_empty_maps_rejected(shape, family):
 
 
 def test_clustering_identity():
-    rng = np.random.default_rng(2)
-    m = rng.integers(0, 4, (6, 6))
-    rc, pri, vi = clustering_metrics(m, m)
-    assert rc == pytest.approx(1.0, abs=1e-12)
-    assert pri == pytest.approx(1.0, abs=1e-12)
-    assert vi == pytest.approx(0.0, abs=1e-12)
+    # VI is exactly 0.0 (not -0.0) for any map against itself, also for the
+    # square, whose H + H - 2 I (I = H) does not round to 0
+    square = np.zeros((8, 8), dtype=int)
+    square[2:5, 2:5] = 1
+    for m in (np.random.default_rng(2).integers(0, 4, (6, 6)), square):
+        rc, pri, vi = clustering_metrics(m, m)
+        assert rc == pytest.approx(1.0, abs=1e-12)
+        assert pri == pytest.approx(1.0, abs=1e-12)
+        assert vi == 0.0 and repr(vi) == "0.0"
 
 
 def test_clustering_hand_enumerated_2x2():

@@ -1023,12 +1023,11 @@ def test_two_class_memberships_are_the_softmax_of_zero_and_u_bit_for_bit(monkeyp
 
 def _two_plane_descent(x, cfg, init):
     """The N-plane softmax descent on two classes, as the reference: block_descent
-    over both logit planes with softmax memberships. It runs without in_place,
-    so that its Barzilai-Borwein dots are np.einsum's: the in-place path's
-    np.vdot rounds by the BLAS thread count, which alone moved its 1024^2
-    seed-1 trace by 2.7e-12 of the start loss between 1 and 2 OpenBLAS
-    threads. Each
-    trial's logits are rounded as the in-place step rounds them, and the
+    over both logit planes with softmax memberships. It passes no b, so its
+    Barzilai-Borwein dots are np.einsum's: np.vdot rounds by the BLAS thread
+    count, which alone moved its 1024^2 seed-1 trace by 2.7e-12 of the start
+    loss between 1 and 2 OpenBLAS threads. softmax takes each trial's logits
+    strip by strip, rounded as the in-place step rounds them, and the
     direction is formed in a copy of g, which the trials then take."""
     (z, y, c, _), trace, stop = softseg.block_descent(
         x, cfg, init_logits(x, cfg, init), softmax,

@@ -19,6 +19,9 @@ Where trace.csv differs it says by how much: the row counts and stop
 reasons of both sides, and per energy column the largest |difference| over
 the rows both have, relative to the parent's start loss. Where run.json
 differs it names the keys that do (results.* for those of its results).
+Where mask.pgm differs it counts the pixels that do, out of all; where the
+eval row differs it names the columns that do and gives their largest
+|difference|.
 """
 
 import argparse
@@ -29,9 +32,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import checks  # noqa: E402
 import phantom  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 
@@ -86,13 +92,19 @@ def _trace(blob):
     return header.split(",")[1:], [[float(v) for v in row.split(",")[1:]] for row in rows]
 
 
-def describe(file, got, want):
+def describe(file, got, want, inputs):
     """One line saying how file differs between this checkout's outputs got
-    and the parent's want ({file name: contents} each)."""
+    and the parent's want ({file name: contents} each), written under
+    inputs/change and inputs/parent."""
     if file == "run.json":
         new, old = _flat(got[file]), _flat(want[file])
         keys = sorted(k for k in set(new) | set(old) if new.get(k) != old.get(k))
         return f"run.json differs in {', '.join(keys)}"
+    if file == "mask.pgm":
+        new, old = (phantom.read_pgm(inputs / side / file) for side in ("change", "parent"))
+        if new.shape != old.shape:
+            return f"mask.pgm differs: shape {old.shape} -> {new.shape}"
+        return f"mask.pgm differs in {np.count_nonzero(new != old)} of {new.size} pixels"
     if file != "trace.csv":
         return f"{file} differs"
     columns, rows = _trace(got[file])
@@ -125,7 +137,7 @@ def compare(name, seed, parent, work):
     problems = [] if code == parent_code else [f"exit code {parent_code} -> {code}"]
     if set(got) != set(want):
         problems.append(f"output files {sorted(want)} -> {sorted(got)}")
-    problems += [describe(file, got, want) for file in sorted(set(got) & set(want))
+    problems += [describe(file, got, want, inputs) for file in sorted(set(got) & set(want))
                  if got[file] != want[file]]
 
     args = ["eval", inputs / "change" / "mask.pgm", inputs / "gt.pgm"]
@@ -134,9 +146,21 @@ def compare(name, seed, parent, work):
     (code, row, stderr), (parent_code, parent_row, _) = (msvar(c, args, inputs) for c in (ROOT, parent))
     if code != 0:
         problems.append(f"eval exited {code}: {stderr.strip()}")
-    elif (code, row) != (parent_code, parent_row):
-        problems.append(f"eval differs: exit {parent_code} -> {code}, {parent_row!r} -> {row!r}")
+    elif code != parent_code:
+        problems.append(f"eval differs: exit {parent_code} -> {code}")
+    elif row != parent_row:
+        problems.append(describe_eval(row, parent_row))
     return problems
+
+
+def describe_eval(row, parent_row):
+    """One line naming the columns in which this checkout's eval stdout row
+    differs from the parent's parent_row, with their largest |difference|."""
+    new, old = (checks.parse_eval(side.decode()) for side in (row, parent_row))
+    keys = [k for k in {**new, **old} if new.get(k) != old.get(k)]
+    deltas = [abs(new[k] - old[k]) for k in keys if k in new and k in old]
+    line = f"eval differs in {', '.join(keys) or 'formatting'}"
+    return line + (f", max |delta| {max(deltas):.2g}" if deltas else "")
 
 
 def main(argv=None):
