@@ -267,12 +267,13 @@ def evolve_step(x, state):
     return replace(state, phi=state.phi - state.dt * d)
 
 
-def _energy_terms(x, chi, c, lambda_tv, tv_eps, sq=None):
-    """(energy, data, tv) of memberships chi at means c: softseg.energy's data
-    term, with the squared residual built in sq when given, and
-    tv = (lambda / 2) sum_n TV(chi_n), 0 when lambda is. For p = 1,
-    chi_0 = 1 - chi_1 has the same TV, so tv is softseg.two_class_tv's
+def _energy_terms(x, chi, lambda_tv, tv_eps, sq=None):
+    """(c, (energy, data, tv)) of memberships chi: their means c,
+    softseg.energy's data term at c, with the squared residual built in sq
+    when given, and tv = (lambda / 2) sum_n TV(chi_n), 0 when lambda is. For
+    p = 1, chi_0 = 1 - chi_1 has the same TV, so tv is softseg.two_class_tv's
     lambda TV(chi_1), one stencil."""
+    c = weighted_means(x, chi)
     loss, data, _ = energy(x, chi, c, 0.0, tv_eps, grad_out=sq)
     if chi.shape[0] == 2:
         tv = two_class_tv(chi, 0.5 * lambda_tv, tv_eps)
@@ -280,7 +281,7 @@ def _energy_terms(x, chi, c, lambda_tv, tv_eps, sq=None):
         tv = 0.0
     else:
         tv = 0.5 * lambda_tv * sum(tv_smooth(plane, tv_eps) for plane in chi)
-    return loss + tv, data, tv
+    return c, (loss + tv, data, tv)
 
 
 def levelset_energy(x, state, tv_eps=1e-8):
@@ -293,9 +294,7 @@ def levelset_energy(x, state, tv_eps=1e-8):
     descends (Chan & Vese 2001; Vese & Chan 2002). For p = 1, tv is taken as
     lambda TV(chi_1).
     """
-    x = as_image(x)
-    chi = memberships(state)
-    return _energy_terms(x, chi, weighted_means(x, chi), state.lambda_tv, tv_eps)
+    return _energy_terms(as_image(x), memberships(state), state.lambda_tv, tv_eps)[1]
 
 
 def hard_labels(state):
@@ -350,7 +349,6 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
                    max_iters=max_iters, rel_tol=rel_tol, tv_eps=tv_eps, seed=seed)
     cfg.validate()
     _check_cfl(dt, lambda_tv)
-    cfg.lambda_tv *= 0.5  # the energy's TV weight, as in levelset_energy
 
     def members(phi, d=None, eta=0.0, out=None):
         # a trial is formed in the planes where memberships takes its Heavisides
@@ -359,11 +357,11 @@ def segment_levelset(x, phases=1, lambda_tv=0.01, dt=0.5, eps_h=1.0, max_iters=5
         return memberships(LevelSetState(phi, eps_h), out)
 
     # the initial level functions are passed inline so that no frame keeps them alive
-    (phi, _, _, _), trace, stop = block_descent(
-        x, cfg,
+    (phi, _, _), trace, stop = block_descent(
+        cfg,
         initial_state(x.shape[:2], phases, eps_h=eps_h, dt=dt, lambda_tv=lambda_tv, seed=seed).phi,
-        members, lambda phi, y, c, b, sq: _direction(phi, sq, eps_h, lambda_tv), fixed_step=True,
-        loss_terms=lambda chi, c, sq: _energy_terms(x, chi, c, lambda_tv, tv_eps, sq))
+        members, lambda phi, y, c, sq: _direction(phi, sq, eps_h, lambda_tv),
+        lambda chi, sq, _: _energy_terms(x, chi, lambda_tv, tv_eps, sq), fixed_step=True)
     labels = hard_labels(LevelSetState(phi, eps_h))
     means = np.zeros((cfg.num_classes, x.shape[2]))
     for k in range(cfg.num_classes):

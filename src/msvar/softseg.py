@@ -11,11 +11,12 @@ centroid refreshes with gradient steps on the logits.
 
 The bias and level-set solvers minimise the same energy (fit b(r) c_n;
 Heaviside memberships, with TV weight lambda / 2); it and the one iteration
-driver, iterate, live here. energy is also the one formula of its gradient in
-the memberships: energy(..., grad_out=g) builds the g that block_descent
-hands the direction of ms and ms-bias, and the one ms_loss_grad pulls back;
-the level set, whose velocity is not an energy gradient, is handed the
-residual of its data term alone.
+driver, block_descent, live here. Each solver hands the driver its own
+evaluation, and ms-bias its bias block too (see bias). energy is also the
+one formula of its gradient in the memberships: energy(..., grad_out=g)
+builds the g that the directions of ms and ms-bias read, and the one
+ms_loss_grad pulls back; the level set, whose velocity is not an energy
+gradient, is handed the residual of its data term alone.
 
 The kernels on the descent path work in place, one class (and channel) at
 a time, over strips of grid.STRIP elements: they allocate what they return
@@ -42,7 +43,7 @@ strip by strip by two_class_memberships(u, d, eta, out), and an accepted
 step moves u in place, so the descent holds six (H, W) planes: the image,
 u, the direction, the gradient and the two memberships. The result's labels
 are y_1 > y_0 of its memberships, and a k-means start is +-KMEANS_LOGIT_GAP
-straight from the labels (see _softmax_descent).
+straight from the labels (see minimize_ms).
 """
 
 import bisect
@@ -52,10 +53,6 @@ import numpy as np
 
 from .errors import ConvergenceError, check_number
 from .grid import EPS_DEN, STRIP, as_image, tv_smooth, tv_smooth_grad
-
-# b is clamped into this range after every update to rule out the degenerate
-# zero-bias collapse.
-B_MIN, B_MAX = 0.05, 20.0
 
 
 @dataclass
@@ -389,19 +386,6 @@ def _chain_softmax(y, grad_y):
     return grad_y
 
 
-def grad_b(x, y, b, c, tv_eps, gamma):
-    """Gradient of the energy in b, memberships and class means frozen.
-
-    d data / d b(r) = -2 sum_n y_n(r) sum_ch c_n,ch (x_ch(r) - b(r) c_n,ch),
-    plus the TV-of-b adjoint weighted by gamma.
-    """
-    fit = _residual_sums(x, c, b, c)
-    data_grad = -2.0 * np.sum(np.multiply(y, fit, out=fit), axis=0)
-    if gamma != 0.0:
-        tv_smooth(b, tv_eps, data_grad, gamma)
-    return data_grad
-
-
 def ms_loss_grad(x, seg, cfg, mode="frozen-centroids"):
     """Analytic gradient of ms_loss with respect to the logits.
 
@@ -668,134 +652,99 @@ def _bb_step(s_s, s_dg, last):
     return last
 
 
-def block_descent(x, cfg, u, members, direction, b=None, gamma=0.0, fixed_step=False,
-                  loss_terms=None):
-    """Block-coordinate descent on the energy over memberships y = members(u)
-    (and a bias field b).
+def _dot(a, b):
+    """a.b over all elements, by np.einsum, which rounds alike under any BLAS
+    thread count (np.vdot, BLAS ddot, splits its sum across threads)."""
+    return np.einsum("i,i->", a.reshape(-1), b.reshape(-1))
 
-    Per iteration: a backtracked step u - eta * direction(u, y, c, b, g), then,
-    exactly when b is given, one on b clamped to [B_MIN, B_MAX] (see _descend).
-    A block whose backtracking exhausts is skipped; when every block does, the
-    run stops as "stalled". Returns ((u, y, c, b), trace, stop), c the means.
 
-    members(u, d=None, eta=0.0, out=None) returns the memberships of u, or
-    given d those of the trial u - (d * eta), rounded as _step rounds it,
-    written into out when given, a stack whose contents are no longer needed.
-    The trials write theirs into the current memberships' stack, and if the
-    block exhausts, members(u) is recomputed into it. No trial u is formed
-    as a whole: block_descent owns u, which an accepted step moves in place
-    by _step(u, d, eta, u).
+def block_descent(cfg, u, members, direction, evaluate, block=None, fixed_step=False, dot=_dot):
+    """Block-coordinate descent on an objective over memberships
+    y = members(u).
 
-    Each block's first trial step is cfg.step_size at the start and after the
-    block exhausts; otherwise it is the Barzilai-Borwein ratio s.s / s.dg of
-    the block's last accepted step s and the change dg of its direction across
-    it: eta ||d'||^2 / (||d'||^2 - d'.d) for u, with d' the direction u last
-    moved along by eta, and db.db / db.dg for b, with db the clamped change in
-    b and dg the change in the gradient in b. Where s.dg <= 0 or the ratio is
-    not finite, the block's last accepted step is reused. Without b the dots
-    are np.einsum's, which round alike under any BLAS thread count; with b,
-    those on u and on b are np.vdot's (BLAS ddot), whose rounding follows the
-    thread count.
+    Per iteration: a backtracked step u - eta * direction(u, y, c, g) (see
+    _descend), then one of block, when given. A block whose backtracking
+    exhausts is skipped; when every block does, the run stops as "stalled".
+    Returns ((u, y, c), trace, stop), c the means.
 
-    With fixed_step set (the level-set Euler step, whose direction is not an
-    energy gradient), every first trial step is cfg.step_size. g is the
-    energy's gradient in the memberships at the current state, c (and b)
-    frozen, built by energy's grad_out (or by loss_terms): one plane where u
-    has fewer axes than y (the two-class logit difference), else one per
-    membership. The direction may overwrite g and returns either a new array
-    or g itself. The start's evaluation builds g, and without b so does every
-    trial of u: into the array the direction read, or, where the direction
-    returned that array as d, into the array of d' once its dot products are
-    taken (a new one at the first step). A bias step moves c and b after the
-    logit trials, so with b given they build none, and the logit block builds
-    g itself before the direction.
+    evaluate(y, g, terms) returns (c, terms') for memberships y: their means
+    and the objective's terms (loss first); given g, it writes there the
+    gradient the direction reads. terms are the current state's, whose parts
+    a logit trial leaves unchanged (None at the start, whose evaluation
+    builds g: one plane where u has fewer axes than y, else one per
+    membership).
 
-    loss_terms(y, c, g), when given, evaluates memberships y at means c in
-    place of energy: it returns the terms (loss first) and writes into g
-    what the direction reads. Two-class ms passes two_class_energy, whose g
-    is one plane, and the level set its energy with the squared residual as
-    g. It needs no b.
+    members(u, d=None, eta=0.0, out=None) gives the memberships of u, or of
+    the trial u - (d * eta), rounded as _step rounds it, into out. The trials
+    write into the memberships' stack, which members(u) restores if the block
+    exhausts; an accepted step moves u in place by _step(u, d, eta, u). The
+    direction may overwrite g and returns a new array or g itself. Without
+    block every trial builds g: where the direction read it, or, where the
+    direction returned that array as d, into the array of d' once its dots
+    are taken (a new one at the first step). block moves the means that g
+    depends on, so with it the trials build none.
+
+    block(state, terms, step0, memo) takes the state (u, y, c, g) and terms
+    the logit step left, its first trial step and what it kept of its last
+    accepted step, which the driver hands over without keeping. It returns
+    (state, terms, eta, memo), with g built at the new means, or
+    (state, None, None, None) when it exhausts.
+
+    A block's first trial step is cfg.step_size at the start, after it
+    exhausts and always under fixed_step (the level-set Euler step, whose
+    direction is not the objective's gradient). Otherwise u's is the
+    Barzilai-Borwein ratio eta ||d'||^2 / (||d'||^2 - d'.d), d' the direction
+    u last moved along by eta, its dots taken by dot, or the last accepted
+    step where the denominator is not positive or the ratio is not finite.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
 
-    def evaluate(u, y, b, tv_y=None, g=None, tv_b=None):
-        # a trial that leaves u unchanged passes lambda sum_n TV(y_n) as tv_y,
-        # one that leaves b unchanged gamma TV(b) as tv_b
-        c = weighted_means(x, y, b)
-        if loss_terms is not None:
-            return (u, y, c, b, g), loss_terms(y, c, g)
-        return (u, y, c, b, g), energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, gamma, tv_y, g, tv_b)
-
-    # per block: its last accepted step, and what its BB ratio keeps of that
-    # step (u's direction d'; b and its gradient before the step)
-    steps, prev = [cfg.step_size] * 2, [None] * 2
-
-    # a block returns the state to go on from, with the terms, the accepted
-    # step and what the BB ratio keeps of it, or with None for all three when
-    # its backtracking exhausts
-    def member_block(u, y, c, b, g):
-        if g is None:  # a bias step or an exhausted block left none (so there is no loss_terms)
-            g = np.empty_like(y)
-            energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, b, grad_out=g)
-        d = direction(u, y, c, b, g)
-        step0, spare, prev[0] = steps[0], prev[0], None
+    def member_block(state, terms, step0, spare):
+        u, y, c, g = state
+        d = direction(u, y, c, g)
         if spare is not None:
-            if b is None:
-                s, t = spare.reshape(-1), d.reshape(-1)
-                dd, dp = np.einsum("i,i->", s, s), np.einsum("i,i->", s, t)
-            else:
-                dd, dp = np.vdot(spare, spare), np.vdot(spare, d)
+            dd, dp = dot(spare, spare), dot(spare, d)
             step0 = _bb_step(step0 * dd, dd - dp, step0)
-        # with b, a trial leaves b and gamma TV(b) as they are; without, its g goes
-        # where the direction read it, or, when the direction was formed there,
-        # into d', which is not needed past its dot products
-        tv_b = None
-        if b is not None:
-            g, tv_b = None, terms[3]
+        if block is not None:
+            g = None
         elif d is g:
             g = np.empty_like(d) if spare is None else spare
         del spare
-        cand, cand_terms, exhausted, eta = _descend(
-            lambda eta: evaluate(u, members(u, d, eta, y), b, g=g, tv_b=tv_b), step0, terms[0])
+
+        def trial(eta):
+            c, terms_eta = evaluate(members(u, d, eta, y), g, terms)
+            return (u, y, c, g), terms_eta
+
+        cand, cand_terms, exhausted, eta = _descend(trial, step0, terms[0])
         if exhausted:  # y holds a trial's memberships
-            return (u, members(u, out=y), c, b, None), None, None, None
+            return (u, members(u, out=y), c, None), None, None, None
         _step(u, d, eta, u)
         return cand, cand_terms, eta, d
 
-    def bias_block(u, y, c, b, _):
-        g = grad_b(x, y, b, c, cfg.tv_eps, gamma)
-        step0 = steps[1]
-        if prev[1] is not None:
-            db, dg = b - prev[1][0], g - prev[1][1]
-            step0 = _bb_step(np.vdot(db, db), np.vdot(db, dg), step0)
-            del db, dg
-        tv_y = terms[2]
-        cand, cand_terms, exhausted, eta = _descend(
-            lambda eta: evaluate(u, y, np.clip(b - eta * g, B_MIN, B_MAX), tv_y), step0, terms[0])
-        if exhausted:
-            return (u, y, c, b, None), None, None, None
-        return cand, cand_terms, eta, (b, g)
-
-    blocks = (member_block,) if b is None else (member_block, bias_block)
+    blocks = (member_block,) if block is None else (member_block, block)
+    # per block: its last accepted step, and what its BB ratio keeps of that step
+    steps, memos = [cfg.step_size] * len(blocks), {}
     y = members(u)
-    state, terms = evaluate(u, y, b, g=np.empty_like(u if u.ndim < y.ndim else y))
-    del u, y, b  # state holds the current arrays
+    g = np.empty_like(u if u.ndim < y.ndim else y)
+    c, terms = evaluate(y, g, None)
+    state = (u, y, c, g)
+    del c, g  # the state holds them, and the blocks replace them
 
     def step():
         nonlocal state, terms
         moved = False
-        for k, block in enumerate(blocks):
-            state, cand_terms, eta, memo = block(*state)
+        for k, run in enumerate(blocks):
+            state, cand_terms, eta, memo = run(state, terms, steps[k], memos.pop(k, None))
             if eta is None:
-                steps[k], prev[k] = cfg.step_size, None
+                steps[k] = cfg.step_size
             else:
                 terms, moved = cand_terms, True
                 if not fixed_step:
-                    steps[k], prev[k] = eta, memo
+                    steps[k], memos[k] = eta, memo
         return terms if moved else None
 
     trace, stop = iterate(step, terms, cfg.max_iters, cfg.rel_tol)
-    return state[:4], trace, stop
+    return state[:3], trace, stop
 
 
 def _logit_difference(z):
@@ -815,64 +764,51 @@ def _two_class_start(x, cfg, init):
     return np.take(np.array([-KMEANS_LOGIT_GAP, KMEANS_LOGIT_GAP]), labels)
 
 
-def _softmax_descent(x, cfg, init, gamma=None):
-    """block_descent over softmax logits from init_logits, plus a bias field
-    started at b = 1 when gamma is given. Returns a Result whose labels are the
-    argmax of the memberships; raises ConvergenceError carrying it when every
-    block stalls.
-
-    Two classes without a bias field descend the one plane u = z_1 - z_0, whose
-    memberships softmax((0, u)) are two_class_memberships(u): the terms are
-    two_class_energy's, the direction is dE/du = y_0 y_1 (g_1 - g_0), formed
-    in place in the one gradient plane, and the steps twice cfg.step_size,
-    since a step of eta on (z_0, z_1) along their gradient moves u by 2 eta
-    along dE/du (the BB ratios are scale-free). So the run follows the
-    two-plane descent up to rounding. It starts from
-    _two_class_start. Its Result carries the logits (0, u), their softmax,
-    written over the descent's final memberships (the same bits), and the
-    labels y_1 > y_0, hard_mask's first maximum over two planes.
-    """
-    # the initial arrays are passed inline so that no frame keeps them alive
-    if gamma is None and cfg.num_classes == 2:
-        (u, y, c, b), trace, stop = block_descent(
-            x, replace(cfg, step_size=2.0 * cfg.step_size), _two_class_start(x, cfg, init),
-            two_class_memberships, lambda u, y, c, b, g: _chain_two_class(x, y, c, g),
-            loss_terms=lambda y, c, g: two_class_energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, g))
-        z = np.empty((2,) + u.shape)
-        z[0], z[1] = 0.0, u
-        del u
-        # the seg's memberships are the softmax of its logits, written over the
-        # descent's final y, which holds the same bits (perfbench's tracer test
-        # expects this call); y_1 > y_0 is hard_mask's first maximum over two
-        # planes (a tie goes to class 0)
-        seg = SoftSegmentation(logits=z, memberships=softmax(z, out=y))
-        labels = np.greater(y[1], y[0]).astype(np.intp)
-    else:
-        (z, y, c, b), trace, stop = block_descent(
-            x, cfg, init_logits(x, cfg, init), softmax, lambda z, y, c, b, g: _chain_softmax(y, g),
-            None if gamma is None else np.ones(x.shape[:2]), gamma)
-        seg = SoftSegmentation(logits=z, memberships=y)
-        labels = hard_mask(seg)
-    result = Result(labels, c, trace, stop, seg, b)
-    if stop == "stalled":
-        raise ConvergenceError("backtracking exhausted in every block", result)
-    return result
-
-
 def minimize_ms(x, cfg, init="random"):
     """Alternating minimization: refresh centroids, gradient-step the logits.
 
     Stops when the relative loss change drops below rel_tol or max_iters is
     reached. Every accepted step is non-increasing in the full objective;
     exhausted backtracking raises ConvergenceError with the Result attached.
-    Returns a Result with trace rows (loss, data_term, tv_term).
+    Returns a Result with trace rows (loss, data_term, tv_term), evaluated as
+    ms_loss evaluates them, and the argmax of the memberships as labels.
 
-    Two classes descend the one logit plane u = z_1 - z_0 (see
-    _softmax_descent): block_descent's loss_terms hook evaluates them with
-    two_class_energy, as ms_loss does, so the trace ends on ms_loss of the
-    result bit for bit, and each step follows the two-plane descent up to
-    rounding.
+    Two classes descend the one plane u = z_1 - z_0 from _two_class_start,
+    with memberships two_class_memberships(u) = softmax((0, u)), the terms of
+    two_class_energy and the direction dE/du = y_0 y_1 (g_1 - g_0), formed in
+    place in its one gradient plane. A step of eta on (z_0, z_1) moves u by
+    2 eta along dE/du, so the steps are twice cfg.step_size (the BB ratios
+    are scale-free) and the run follows the two-plane descent up to rounding.
+    The Result carries the logits (0, u) and their softmax, written over the
+    descent's final memberships (the same bits), and labels y_1 > y_0.
     """
     x = as_image(x)
     cfg.validate()
-    return _softmax_descent(x, cfg, init)
+    terms_of = two_class_energy if cfg.num_classes == 2 else energy
+
+    def evaluate(y, g, _):
+        c = weighted_means(x, y)
+        return c, terms_of(x, y, c, cfg.lambda_tv, cfg.tv_eps, grad_out=g)
+
+    # the initial arrays are passed inline so that no frame keeps them alive
+    if cfg.num_classes == 2:
+        (u, y, c), trace, stop = block_descent(
+            replace(cfg, step_size=2.0 * cfg.step_size), _two_class_start(x, cfg, init),
+            two_class_memberships, lambda u, y, c, g: _chain_two_class(x, y, c, g), evaluate)
+        z = np.empty((2,) + u.shape)
+        z[0], z[1] = 0.0, u
+        del u
+        # perfbench's tracer test expects this softmax call; y_1 > y_0 is
+        # hard_mask's first maximum over two planes (a tie goes to class 0)
+        seg = SoftSegmentation(logits=z, memberships=softmax(z, out=y))
+        labels = np.greater(y[1], y[0]).astype(np.intp)
+    else:
+        (z, y, c), trace, stop = block_descent(
+            cfg, init_logits(x, cfg, init), softmax, lambda z, y, c, g: _chain_softmax(y, g),
+            evaluate)
+        seg = SoftSegmentation(logits=z, memberships=y)
+        labels = hard_mask(seg)
+    result = Result(labels, c, trace, stop, seg)
+    if stop == "stalled":
+        raise ConvergenceError("backtracking exhausted in every block", result)
+    return result

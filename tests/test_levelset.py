@@ -325,7 +325,7 @@ def count_calls(monkeypatch, counts, module, name):
 
 def test_segment_evaluates_each_accepted_step_once(monkeypatch):
     counts = {}
-    count_calls(monkeypatch, counts, softseg, "weighted_means")
+    count_calls(monkeypatch, counts, levelset, "weighted_means")
     count_calls(monkeypatch, counts, levelset, "memberships")
     image, _, _ = make_phantom("two-phase", 64, 0.05, 0)
     result, _ = run_segment(image, phases=1, lambda_tv=1e-2, dt=0.5, max_iters=50, rel_tol=1e-12)
@@ -335,15 +335,16 @@ def test_segment_evaluates_each_accepted_step_once(monkeypatch):
 
 def test_the_traced_tv_term_descends_along_the_curvature_velocity(monkeypatch):
     # For p = 1, chi_0 = 1 - H and chi_1 = H have the same TV, so sum_n TV(chi_n)
-    # counts every boundary twice; the traced weight lambda / 2 makes the TV
-    # term's gradient, pulled back through H, the velocity's curvature term.
+    # counts every boundary twice; the traced weight lambda / 2 (levelset_energy's
+    # definition) makes the TV term's gradient, pulled back through H, the
+    # velocity's curvature term.
     lam = 1e-2
     seen = []
     real = levelset.block_descent
 
-    def recording(x, cfg, u, *args, **kwargs):
+    def recording(cfg, u, *args, **kwargs):
         seen.append((cfg, u.copy()))
-        return real(x, cfg, u, *args, **kwargs)
+        return real(cfg, u, *args, **kwargs)
 
     monkeypatch.setattr(levelset, "block_descent", recording)
     image, _, _ = make_phantom("two-phase", 128, 0.05, 0)
@@ -352,8 +353,8 @@ def test_the_traced_tv_term_descends_along_the_curvature_velocity(monkeypatch):
     state = LevelSetState(phi, lambda_tv=lam)
     chi = memberships(state)
     delta = delta_eps(phi[0], state.eps_h)
-    pulled = delta * cfg.lambda_tv * (tv_smooth_grad(chi[1], cfg.tv_eps)
-                                      - tv_smooth_grad(chi[0], cfg.tv_eps))
+    pulled = delta * (lam / 2) * (tv_smooth_grad(chi[1], cfg.tv_eps)
+                                  - tv_smooth_grad(chi[0], cfg.tv_eps))
     curvature = delta * lam * curvature_central(phi[0])
     sel = np.abs(curvature) > 0.1 * np.abs(curvature).max()
     assert 0.8 <= np.median(-pulled[sel] / curvature[sel]) <= 1.25
@@ -384,12 +385,12 @@ def test_each_evaluation_takes_one_tv_stencil_per_distinct_plane(monkeypatch, ph
     calls = {}
     for module in (softseg, levelset):
         count_calls(monkeypatch, calls, module, "tv_smooth")
-    count_calls(monkeypatch, calls, softseg, "weighted_means")
+    count_calls(monkeypatch, calls, levelset, "weighted_means")
     image, _, _ = make_phantom("four-phase", 32, 0.05, 0)
     state = LevelSetState(np.random.default_rng(1).uniform(-1.0, 1.0, (phases, 32, 32)))
     levelset_energy(image, state)
-    assert calls["tv_smooth"] == per_evaluation
-    calls["tv_smooth"] = 0
+    assert calls == {"tv_smooth": per_evaluation, "weighted_means": 1}
+    calls["tv_smooth"] = calls["weighted_means"] = 0
     run_segment(image, phases=phases, lambda_tv=1e-2, dt=8.0, eps_h=2.0, max_iters=20)
     assert calls["weighted_means"] > 1
     assert calls["tv_smooth"] == per_evaluation * calls["weighted_means"]
@@ -427,8 +428,8 @@ def test_each_evaluation_builds_the_residual_once_and_moves_phi_in_place_per_ste
     # planes, where its Heavisides are then taken, and an accepted step moves
     # phi in place
     calls, trials, moves, trial_members = {}, [], [], []
-    for name in ("_residual_sums", "weighted_means"):
-        count_calls(monkeypatch, calls, softseg, name)
+    count_calls(monkeypatch, calls, softseg, "_residual_sums")
+    count_calls(monkeypatch, calls, levelset, "weighted_means")
     real_step, real_memberships = softseg._step, levelset.memberships
 
     def step(u, d, eta, out):

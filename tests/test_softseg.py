@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msvar import grid, softseg
-from msvar.bias import bias_loss_grad_b, minimize_ms_bias
+from msvar import bias, grid, softseg
+from msvar.bias import bias_loss_grad_b, grad_b, minimize_ms_bias
 from msvar.errors import ConvergenceError
 from msvar.grid import tv_smooth, tv_smooth_grad
 from msvar.levelset import segment_levelset
@@ -15,7 +15,6 @@ from msvar.softseg import (
     SoftSegmentation,
     energy,
     fixed_point_step,
-    grad_b,
     hard_mask,
     init_logits,
     iterate,
@@ -452,7 +451,8 @@ def test_iterate_stops_at_max_iters():
 
 def _rising_energy(monkeypatch):
     """Make every energy evaluation after the first far worse than the one before,
-    energy's and two_class_energy's (the two-class ms descent's) alike."""
+    energy's (softseg's and bias's bindings) and two_class_energy's (the
+    two-class ms descent's) alike."""
     calls = []
 
     def rising(real):
@@ -463,8 +463,8 @@ def _rising_energy(monkeypatch):
 
         return evaluated
 
-    for name in ("energy", "two_class_energy"):
-        monkeypatch.setattr(softseg, name, rising(getattr(softseg, name)))
+    for module, name in ((softseg, "energy"), (softseg, "two_class_energy"), (bias, "energy")):
+        monkeypatch.setattr(module, name, rising(getattr(module, name)))
     return calls
 
 
@@ -484,11 +484,30 @@ def test_minimize_ms_bias_raises_with_state_when_every_block_exhausts(monkeypatc
     image, _, _ = make_phantom("ramp-bias", 16, 0.02, 0)
     with pytest.raises(ConvergenceError) as info:
         minimize_ms_bias(image, MsConfig(num_classes=2, max_iters=20), 0.1, init="kmeans")
-    assert len(calls) == 1 + 31 + 31  # logit block, then bias block
+    # the start, the logit block, the bias block, and the gradient in the
+    # memberships that the bias block builds at the state it leaves
+    assert len(calls) == 1 + 31 + 31 + 1
     assert info.value.result.trace.shape == (1, 4)
     seg, b, c = info.value.result.seg, info.value.result.bias, info.value.result.centroids
     assert seg.memberships.shape == (2, 16, 16) and c.shape == (2, 1)
     assert np.array_equal(b, np.ones((16, 16)))
+
+
+def test_a_stalled_ms_bias_result_is_gauge_fixed(monkeypatch):
+    # both blocks of the fourth iteration (calls 6 and 7) exhaust, so the run
+    # stalls after three; the Result it raises with still has mean(b) = 1, and
+    # the fit b c_n, through the data term, is the one the descent reached
+    calls = []
+    _recording_descend(monkeypatch, calls, exhaust=range(6, 8))
+    image, _, _ = make_phantom("ramp-bias", 32, 0.02, 0)
+    cfg = MsConfig(num_classes=2, step_size=2.0, max_iters=20, tv_eps=1e-2)
+    with pytest.raises(ConvergenceError) as info:
+        minimize_ms_bias(image, cfg, 0.1, init="kmeans")
+    result = info.value.result
+    assert len(calls) == 8 and result.stop == "stalled" and len(result.trace) == 4
+    assert result.bias.mean() == pytest.approx(1.0, rel=0.0, abs=1e-12)
+    y, c, b = result.seg.memberships, result.centroids, result.bias
+    assert energy(image, y, c, 0.0, cfg.tv_eps, b)[1] == pytest.approx(result.trace[-1, 1], rel=1e-12)
 
 
 # ----------------------------------------------------------------- kmeans
@@ -772,9 +791,12 @@ def test_minimize_ms_peak_memory_in_membership_stacks(quantised, biased):
     # outside the count, with strip buffers on top (about 2.9 stacks traced on
     # the PGM-quantised input; 3.9 with a two-plane gradient and a trial u).
     # On unquantised input k-means clusters every pixel value and its
-    # temporaries set the peak at about 6.6 stacks. With a bias field,
-    # weighted_means forms the products of y and b as whole stacks, which sets
-    # the peak at about 7.0 stacks on either input.
+    # temporaries set the peak at about 6.6 stacks. With a bias field, a bias
+    # trial holds the logits, the last direction, the memberships, b, its
+    # gradient and the trial b, and weighted_means forms the products of y and
+    # b as whole stacks, which sets the peak at about 6.0 stacks on either
+    # input (7.0 while the bias block kept its last b and gradient through its
+    # trials).
     size, classes = 256, 2
     image, _, _ = make_phantom("ramp-bias" if biased else "two-phase", size, 0.05, 0)
     if quantised:
@@ -795,7 +817,7 @@ def test_minimize_ms_peak_memory_in_membership_stacks(quantised, biased):
     finally:
         if not tracing:
             tracemalloc.stop()
-    bound = 7.5 if biased else 3.25 if quantised else 6.75
+    bound = 6.5 if biased else 3.25 if quantised else 6.75
     assert peak < bound * stack, f"traced peak {peak / stack:.2f} stacks"
 
 
@@ -819,13 +841,14 @@ def test_bias_trials_reuse_the_memberships(monkeypatch):
         return result
 
     monkeypatch.setattr(softseg, "softmax", counting_softmax)
-    monkeypatch.setattr(softseg, "_descend", counting_descend)
+    for module in (softseg, bias):  # the logit trials', then the bias trials' binding
+        monkeypatch.setattr(module, "_descend", counting_descend)
     image, _, _ = make_phantom("ramp-bias", 32, 0.02, 0)
     cfg = MsConfig(num_classes=2, step_size=2.0, max_iters=15, tv_eps=1e-2)
     result = minimize_ms_bias(image, cfg, 0.1, init="kmeans")
-    member, bias = trials[0::2], trials[1::2]  # each iteration runs both blocks, logits first
-    assert len(member) == len(bias) == len(result.trace) - 1
-    assert sum(bias) > len(bias)  # the bias block backtracked
+    member, bias_block = trials[0::2], trials[1::2]  # each iteration runs both blocks, logits first
+    assert len(member) == len(bias_block) == len(result.trace) - 1
+    assert sum(bias_block) > len(bias_block)  # the bias block backtracked
     assert len(softmax_calls) == 1 + sum(member)  # the start, then one per logit trial
 
 
@@ -862,8 +885,10 @@ def test_logit_trials_write_into_the_memberships_and_the_last_direction(monkeypa
 
 
 def _exhausting_descend(monkeypatch, exhaust, seen):
-    """Wrap _descend: the calls numbered in exhaust run their trials, then
-    report exhaustion. Every trial's (u, y) is copied into seen."""
+    """Wrap _descend, softseg's (logit trials) and bias's (bias trials): the
+    calls numbered in exhaust run their trials, then report exhaustion. Every
+    trial's candidate's first two arrays are copied into seen: (u, y) for a
+    logit trial, (b, c) for a bias trial."""
     real_descend, calls = softseg._descend, []
 
     def descend(state_eval, step0, loss_now):
@@ -876,7 +901,8 @@ def _exhausting_descend(monkeypatch, exhaust, seen):
         calls.append(result[2])
         return (None, None, True, None) if len(calls) - 1 in exhaust else result
 
-    monkeypatch.setattr(softseg, "_descend", descend)
+    for module in (softseg, bias):
+        monkeypatch.setattr(module, "_descend", descend)
     return calls
 
 
@@ -904,10 +930,11 @@ def test_the_bias_block_goes_on_after_an_exhausted_logit_block(monkeypatch):
     cfg = MsConfig(num_classes=2, step_size=2.0, max_iters=4, tv_eps=1e-2)
     result = minimize_ms_bias(image, cfg, 0.1, init="kmeans")
     assert len(calls) == 8 and len(result.trace) == 5
-    bias_trials = [(u, y) for k, u, y in seen if k == 3]
+    u = [u for k, u, _ in seen if k == 2][-1]  # a trial does not move u
+    bias_trials = [(b, c) for k, b, c in seen if k == 3]
     assert bias_trials
-    for u, y in bias_trials:  # the bias block tries b on the restored memberships
-        assert np.array_equal(y, softmax(u))
+    for b, c in bias_trials:  # the bias block tries b on the restored memberships
+        assert np.array_equal(c, weighted_means(image, softmax(u), b))
     assert np.array_equal(result.seg.memberships, softmax(result.seg.logits))
 
 
@@ -1023,15 +1050,21 @@ def test_two_class_memberships_are_the_softmax_of_zero_and_u_bit_for_bit(monkeyp
 
 def _two_plane_descent(x, cfg, init):
     """The N-plane softmax descent on two classes, as the reference: block_descent
-    over both logit planes with softmax memberships. It passes no b, so its
-    Barzilai-Borwein dots are np.einsum's: np.vdot rounds by the BLAS thread
-    count, which alone moved its 1024^2 seed-1 trace by 2.7e-12 of the start
-    loss between 1 and 2 OpenBLAS threads. softmax takes each trial's logits
-    strip by strip, rounded as the in-place step rounds them, and the
-    direction is formed in a copy of g, which the trials then take."""
-    (z, y, c, _), trace, stop = softseg.block_descent(
-        x, cfg, init_logits(x, cfg, init), softmax,
-        lambda z, y, c, b, g: softseg._chain_softmax(y, g.copy()))
+    over both logit planes with softmax memberships, evaluated by energy. It
+    keeps the default dot, so its Barzilai-Borwein dots are np.einsum's:
+    np.vdot rounds by the BLAS thread count, which alone moved its 1024^2
+    seed-1 trace by 2.7e-12 of the start loss between 1 and 2 OpenBLAS
+    threads. softmax takes each trial's logits strip by strip, rounded as the
+    in-place step rounds them, and the direction is formed in a copy of g,
+    which the trials then take."""
+
+    def evaluate(y, g, _):
+        c = weighted_means(x, y)
+        return c, energy(x, y, c, cfg.lambda_tv, cfg.tv_eps, grad_out=g)
+
+    (z, y, c), trace, stop = softseg.block_descent(
+        cfg, init_logits(x, cfg, init), softmax,
+        lambda z, y, c, g: softseg._chain_softmax(y, g.copy()), evaluate)
     return hard_mask(SoftSegmentation(z, y)), trace, stop
 
 
@@ -1176,10 +1209,10 @@ def test_two_class_ms_labels_are_the_first_maximum_of_its_memberships(monkeypatc
     real_descent = softseg.block_descent
 
     def tied_descent(*args, **kwargs):
-        (u, y, c, b), trace, stop = real_descent(*args, **kwargs)
+        (u, y, c), trace, stop = real_descent(*args, **kwargs)
         u.flat[:4] = ties
         softseg.two_class_memberships(u, out=y)
-        return (u, y, c, b), trace, stop
+        return (u, y, c), trace, stop
 
     monkeypatch.setattr(softseg, "block_descent", tied_descent)
     calls = {}
@@ -1212,9 +1245,9 @@ def test_two_class_kmeans_start_is_the_difference_of_the_kmeans_logits(monkeypat
     assert softseg._two_class_start(x, cfg, "random").tobytes() == random.tobytes()
     starts, real_descent = [], softseg.block_descent
 
-    def recording_descent(x, cfg, u, *args, **kwargs):
+    def recording_descent(cfg, u, *args, **kwargs):
         starts.append(u.copy())
-        return real_descent(x, cfg, u, *args, **kwargs)
+        return real_descent(cfg, u, *args, **kwargs)
 
     monkeypatch.setattr(softseg, "block_descent", recording_descent)
     minimize_ms(image, cfg, init="kmeans")
@@ -1230,7 +1263,8 @@ def test_energy_with_gradient_needs_the_tv_term():
 
 def test_zero_weights_skip_the_tv_work(monkeypatch):
     calls = {}
-    _counting(monkeypatch, softseg, "tv_smooth", calls)
+    for module in (softseg, bias):  # bias's binding takes grad_b's TV(b) term
+        _counting(monkeypatch, module, "tv_smooth", calls)
     x, seg = random_instance(3)
     y = seg.memberships
     b = np.random.default_rng(3).uniform(0.5, 1.5, x.shape[:2])
@@ -1272,7 +1306,7 @@ def test_ms_bias_directions_take_the_gradient_at_the_state_the_bias_step_left(mo
     # a bias step moves b and the means after the logit trials, so the gradient
     # the next direction pulls back is built at the new state, never reused
     chained, fields = [], []
-    real_chain, real_grad_b = softseg._chain_softmax, softseg.grad_b
+    real_chain, real_grad_b = bias._chain_softmax, bias.grad_b
 
     def recording_chain(y, g):
         chained.append((y.copy(), g.copy()))  # the call overwrites g
@@ -1282,8 +1316,8 @@ def test_ms_bias_directions_take_the_gradient_at_the_state_the_bias_step_left(mo
         fields.append(b.copy())
         return real_grad_b(x, y, b, *args)
 
-    monkeypatch.setattr(softseg, "_chain_softmax", recording_chain)
-    monkeypatch.setattr(softseg, "grad_b", recording_grad_b)
+    monkeypatch.setattr(bias, "_chain_softmax", recording_chain)
+    monkeypatch.setattr(bias, "grad_b", recording_grad_b)
     image, _, _ = make_phantom("ramp-bias", 32, 0.02, 0)
     cfg = MsConfig(num_classes=2, step_size=2.0, max_iters=6, tv_eps=1e-2)
     result = minimize_ms_bias(image, cfg, 0.1, init="kmeans")
@@ -1308,7 +1342,8 @@ def test_logit_trials_reuse_the_tv_of_b(monkeypatch):
             bias_fields.append(1)
         return real_tv(f, *args)
 
-    monkeypatch.setattr(softseg, "tv_smooth", recording_tv)
+    for module in (softseg, bias):  # energy's binding, and grad_b's
+        monkeypatch.setattr(module, "tv_smooth", recording_tv)
     calls = _exhausting_descend(monkeypatch, set(), seen)
     image, _, _ = make_phantom("ramp-bias", 32, 0.02, 0)
     cfg = MsConfig(num_classes=2, step_size=2.0, max_iters=6, tv_eps=1e-2)
@@ -1322,8 +1357,9 @@ def test_logit_trials_reuse_the_tv_of_b(monkeypatch):
 # ------------------------------------------------ Barzilai-Borwein trial steps
 
 def _recording_descend(monkeypatch, calls, exhaust=()):
-    """Wrap _descend; per call, append (first trial step, accepted step or None).
-    The calls numbered in exhaust report exhaustion without a trial."""
+    """Wrap _descend, softseg's and bias's; per call, append (first trial step,
+    accepted step or None). The calls numbered in exhaust report exhaustion
+    without a trial."""
     real_descend = softseg._descend
 
     def recording_descend(state_eval, step0, loss_now):
@@ -1341,19 +1377,20 @@ def _recording_descend(monkeypatch, calls, exhaust=()):
         calls.append((step0, None if result[2] else result[3]))
         return result
 
-    monkeypatch.setattr(softseg, "_descend", recording_descend)
+    for module in (softseg, bias):
+        monkeypatch.setattr(module, "_descend", recording_descend)
 
 
-def _recording(monkeypatch, name, record):
-    """Wrap softseg.<name>; append a copy of each result, with the b it was given for grad_b."""
-    real = getattr(softseg, name)
+def _recording(monkeypatch, name, record, module=softseg):
+    """Wrap module.<name>; append a copy of each result, with the b it was given for grad_b."""
+    real = getattr(module, name)
 
     def recorded(*args):
         out = real(*args)
         record.append((args[2].copy(), out.copy()) if name == "grad_b" else out.copy())
         return out
 
-    monkeypatch.setattr(softseg, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
 
 
 def test_bb_step_falls_back_on_a_bad_ratio():
@@ -1415,14 +1452,15 @@ def test_bias_trial_steps_use_the_clamped_change_in_b(monkeypatch):
     # random init on a zero-and-0.8 image drives b below B_MIN on some pixels
     calls, grads = [], []
     _recording_descend(monkeypatch, calls)
-    _recording(monkeypatch, "grad_b", grads)
+    _recording(monkeypatch, "grad_b", grads, bias)
     x = np.where(np.arange(64).reshape(8, 8, 1) % 3 == 0, 0.0, 0.8)
     cfg = MsConfig(num_classes=2, max_iters=15)
     minimize_ms_bias(x, cfg, 0.1, init="random")
-    bias = calls[1::2]  # each iteration runs both blocks, logits first
-    assert len(bias) == len(grads) == 15 and bias[0][0] == cfg.step_size
+    bias_block = calls[1::2]  # each iteration runs both blocks, logits first
+    assert len(bias_block) == len(grads) == 15 and bias_block[0][0] == cfg.step_size
     clamped = 0
-    for (_, eta), (step0, _), (b_prev, g_prev), (b, g) in zip(bias, bias[1:], grads, grads[1:]):
+    pairs = zip(bias_block, bias_block[1:], grads, grads[1:])
+    for (_, eta), (step0, _), (b_prev, g_prev), (b, g) in pairs:
         assert eta is not None
         db, dg = b - b_prev, g - g_prev
         want = np.vdot(db, db) / np.vdot(db, dg) if np.vdot(db, dg) > 0 else eta
@@ -1430,7 +1468,7 @@ def test_bias_trial_steps_use_the_clamped_change_in_b(monkeypatch):
         unclamped = -eta * g_prev
         if not np.allclose(db, unclamped, rtol=0.0, atol=1e-12):
             clamped += 1
-            assert np.min(b) == softseg.B_MIN
+            assert np.min(b) == bias.B_MIN
             s_dg = np.vdot(unclamped, dg)
             assert step0 != pytest.approx(np.vdot(unclamped, unclamped) / s_dg, rel=1e-9)
     assert clamped > 0
